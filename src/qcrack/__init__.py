@@ -5,7 +5,7 @@ accounting."""
 from .autodiff import (CallLedger, GradMethod, QNodeJacobian, jacobian,
                        ledger_predict, ledger_reconcile, value_and_jacobian)
 from .circuit import (CircuitSpec, QNodeInput, Shots, build_circuit,
-                      describe, encode_features, evaluate, evaluate_batch)
+                      describe, encode_features, evaluate)
 from .data import (FeatureSample, Patch, SplitConfig, extract_features,
                    generate_synthetic, import_features, load_dataset, split)
 from .model import (HybridModel, LinearLayer, OptimizerState, adam_step,
@@ -20,7 +20,7 @@ __all__ = [
     "QNodeInput", "QNodeJacobian", "ShotCounts", "Shots", "SplitConfig",
     "StateVector", "adam_step", "apply_gate", "bloch_coords", "build_circuit",
     "describe", "encode_features", "estimate_z_from_counts", "evaluate",
-    "evaluate_batch", "evaluate_test", "extract_features",
+    "evaluate_test", "extract_features",
     "generate_synthetic", "import_features", "jacobian", "ledger_predict",
     "ledger_reconcile", "load_dataset", "loss_and_grad", "sample", "split",
     "train", "value_and_jacobian", "z_expectation", "zero_state",

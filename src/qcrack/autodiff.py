@@ -11,15 +11,16 @@ plus the method's backward calls.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, QNodeInput, Shots, build_from_angles
-from .circuit import encode_features, evaluate_angles
+from .circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
+                      evaluate_rows)
+# the single-register path stays bound here for tracers that wrap it
+from .circuit import build_from_angles, evaluate_angles  # noqa: F401
 from .errors import CapabilityError, ReconciliationError
-from .statevector import Gate, StateVector, apply_gate
+from .statevector import brick_permutation, evolve, ry_pi, z_rows, z_signs
 
 BACKPROP = "backprop"
 FINITE_DIFF = "finite-diff"
@@ -31,8 +32,6 @@ class GradMethod:
     kind: str
     fd_delta: float = 1e-4
     fd_variant: str = "forward"  # "forward" | "central"
-    shift: float = math.pi / 2
-    shift_coeff: float = 0.5
 
     def __post_init__(self):
         if self.kind not in (BACKPROP, FINITE_DIFF, PARAM_SHIFT):
@@ -41,10 +40,6 @@ class GradMethod:
             raise ValueError("fd_delta must be positive")
         if self.fd_variant not in ("forward", "central"):
             raise ValueError(f"unknown finite-difference variant {self.fd_variant!r}")
-        if not 0 < self.shift <= math.pi:
-            raise ValueError("shift must be in (0, pi]")
-        if self.shift_coeff <= 0:
-            raise ValueError("shift_coeff must be positive")
 
     @classmethod
     def backprop(cls) -> "GradMethod":
@@ -62,62 +57,31 @@ class GradMethod:
     @classmethod
     def parse(cls, name: str, fd_delta: float = 1e-4,
               fd_variant: str = "forward") -> "GradMethod":
-        if name == BACKPROP:
-            return cls.backprop()
-        if name == PARAM_SHIFT:
-            return cls.param_shift()
         if name == FINITE_DIFF:
             return cls.finite_diff(fd_delta, fd_variant)
-        raise ValueError(f"unknown gradient method {name!r}")
+        return cls(name)
 
 
 class CallLedger:
-    """Thread-safe counter of quantum-circuit executions."""
+    """Counter of quantum-circuit executions."""
 
-    def __init__(self, T: int = 0, V: int = 0, L: int = 0, Q: int = 0):
-        self.context = {"T": T, "V": V, "L": L, "Q": Q}
-        self._lock = threading.Lock()
-        self._forward = 0
-        self._backward = 0
+    def __init__(self):
+        self.n_forward = 0
+        self.n_backward = 0
 
     def add_forward(self, n: int = 1):
-        with self._lock:
-            self._forward += n
+        self.n_forward += n
 
     def add_backward(self, n: int = 1):
-        with self._lock:
-            self._backward += n
-
-    @property
-    def n_forward(self) -> int:
-        return self._forward
-
-    @property
-    def n_backward(self) -> int:
-        return self._backward
+        self.n_backward += n
 
     @property
     def n_calls(self) -> int:
-        return self._forward + self._backward
+        return self.n_forward + self.n_backward
 
-    def snapshot(self) -> tuple[int, int]:
-        with self._lock:
-            return self._forward, self._backward
-
-    def to_dict(self, epoch: int | None = None, method: str | None = None,
-                predicted: int | None = None) -> dict:
-        doc = {
-            "n_forward": self.n_forward,
-            "n_backward": self.n_backward,
-            "n_calls": self.n_calls,
-        }
-        if epoch is not None:
-            doc["epoch"] = epoch
-        if method is not None:
-            doc["method"] = method
-        if predicted is not None:
-            doc["predicted"] = predicted
-        return doc
+    def to_dict(self, **extra) -> dict:
+        return {"n_forward": self.n_forward, "n_backward": self.n_backward,
+                "n_calls": self.n_calls, **extra}
 
 
 @dataclass
@@ -126,64 +90,40 @@ class QNodeJacobian:
     d_inputs: np.ndarray  # (Q outputs, Q encoding angles)
 
 
-_RY_SHIFT = math.pi  # Ry(theta)' = 0.5 * Ry(theta + pi)
-
-
-def _adjoint_jacobian(spec: CircuitSpec, angles: np.ndarray,
-                      params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode pass through the stored statevector.
-
-    Returns (z, d) where d has one column per shiftable angle in circuit
-    order: Q encoding columns first, then layer-major variational columns.
-    For psi = U_N..U_1|0> and f_k = <psi|Z_k|psi>,
-    df_k/dtheta_j = 2 Re( <psi| Z_k U_N..U_{j+1} (dU_j) U_{j-1}..U_1 |0> ).
-    """
+def _adjoint(spec: CircuitSpec, all_angles: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse-mode pass: (z, d), one column of d per shiftable angle. The
+    ket and its Q co-states Z_k|psi> sweep backwards as Q+1 rows, one kernel
+    call per gate. dRy(t)/dt = Ry(pi)Ry(t)/2, so the column of an Ry is
+    <co-state|Ry(pi)|ket> just after the gate (the 1/2 cancels the 2 of
+    2*Re<bra|dU|ket>)."""
     q = spec.num_qubits
-    gates = build_from_angles(spec, angles, params)
-    state = StateVector(q)
-    for gate in gates:
-        apply_gate(state, gate)
-
-    probs = state.probabilities()
-    bits = np.array([(np.arange(probs.size) >> k) & 1 for k in range(q)])
-    z = np.array([float(np.sum(probs * (1 - 2 * b))) for b in bits])
-
-    # bras[k] = Z_k |psi>, evolved backwards alongside |psi>
-    signs = 1 - 2 * bits  # (Q, dim)
-    bras = [StateVector(q, s * state.amps) for s in signs]
-    scratch = StateVector(q, state.amps.copy())
-
-    n_angles = q * spec.num_layers
-    deriv = np.zeros((q, n_angles))
-    col = n_angles - 1
-    for gate in reversed(gates):
-        inv = Gate(gate.kind, gate.target, control=gate.control,
-                   theta=-gate.theta)
-        apply_gate(state, inv)  # now the ket before this gate
-        if gate.kind == "ry":
-            # d/dtheta Ry(theta) applied to the pre-gate ket
-            scratch.amps[:] = state.amps
-            apply_gate(scratch, Gate("ry", gate.target,
-                                     theta=gate.theta + _RY_SHIFT))
-            deriv[:, col] = [
-                float(np.real(np.vdot(b.amps, scratch.amps))) for b in bras
-            ]
-            col -= 1
-        for b in bras:
-            apply_gate(b, inv)
-    # the 0.5 from Ry' and the 2 from 2*Re(<bra|dU|ket>) cancel
-    return z, deriv
+    ket = evolve(q, spec.q_depth, all_angles[None])
+    rows = np.vstack([ket, ket * z_signs(q)])
+    inverse = np.argsort(brick_permutation(q))
+    deriv = np.empty((q, all_angles.size))
+    for j in reversed(range(all_angles.size)):
+        qubit = j % q
+        rotated = ry_pi(rows, qubit)
+        deriv[:, j] = rows[1:] @ rotated[0]
+        half = all_angles[j] / 2  # undo Ry(theta): rows <- Ry(-theta) rows
+        rows = math.cos(half) * rows - math.sin(half) * rotated
+        if qubit == 0 and j >= q:
+            rows = rows[:, inverse]
+    return z_rows(ket)[0], deriv
 
 
-def _split_seed(base: int, index: int) -> int:
-    seq = np.random.SeedSequence(entropy=[int(base), int(index)])
-    return int(seq.generate_state(1)[0])
-
-
-def _shifted_mode(mode: Shots | None, index: int) -> Shots | None:
-    if mode is None:
-        return None
-    return Shots(mode.shots, _split_seed(mode.seed, index))
+def _shift_rows(method: GradMethod, n: int) -> np.ndarray:
+    """Angle offsets of the circuits a method runs: the unshifted base row,
+    then +step on angle j (forward differences) or +step, -step on angle j
+    (the shift rule at pi/2 and central differences), j = 0..n-1."""
+    step = math.pi / 2 if method.kind == PARAM_SHIFT else method.fd_delta
+    eye = step * np.eye(n)
+    if method.kind == FINITE_DIFF and method.fd_variant == "forward":
+        shifts = eye
+    else:
+        shifts = np.stack([eye, -eye], axis=1).reshape(2 * n, n)
+    return np.vstack([np.zeros(n), shifts])
 
 
 def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
@@ -195,12 +135,13 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
     Call accounting per training image: 1 forward call for the base value,
     plus backward calls of 2*L*Q (param-shift), L*Q (forward finite
     differences), 2*L*Q (central finite differences), or none (backprop,
-    which reuses the stored forward sweep).
+    which reuses the stored forward sweep). The shifted circuits run as
+    rows of one evaluate_rows call; in shot mode row i samples with seed
+    derive_seed(mode.seed, i).
     """
-    angles = encode_features(qinput.features)
-    params = qinput.params
     q = spec.num_qubits
-    all_angles = np.concatenate([angles, params])
+    all_angles = np.concatenate([encode_features(qinput.features),
+                                 qinput.params])
 
     if method.kind == BACKPROP:
         if mode is not None:
@@ -208,52 +149,25 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
                 "backprop needs exact statevector access; not available in shots mode"
             )
         ledger.add_forward(1)
-        z, deriv = _adjoint_jacobian(spec, angles, params)
+        z, deriv = _adjoint(spec, all_angles)
         return z, QNodeJacobian(d_params=deriv[:, q:], d_inputs=deriv[:, :q])
 
-    def eval_at(vec: np.ndarray, call_index: int) -> np.ndarray:
-        return evaluate_angles(spec, vec[:q], vec[q:],
-                               _shifted_mode(mode, call_index))
-
-    base = eval_at(all_angles, 0)
+    f = evaluate_rows(spec, all_angles + _shift_rows(method, all_angles.size),
+                      mode)
     ledger.add_forward(1)
-    deriv = np.zeros((q, all_angles.size))
-
+    ledger.add_backward(len(f) - 1)
     if method.kind == PARAM_SHIFT:
-        for j in range(all_angles.size):
-            plus = all_angles.copy()
-            plus[j] += method.shift
-            minus = all_angles.copy()
-            minus[j] -= method.shift
-            f_plus = eval_at(plus, 2 * j + 1)
-            f_minus = eval_at(minus, 2 * j + 2)
-            ledger.add_backward(2)
-            deriv[:, j] = method.shift_coeff * (f_plus - f_minus)
+        deriv = 0.5 * (f[1::2] - f[2::2])
     elif method.fd_variant == "forward":
-        for j in range(all_angles.size):
-            plus = all_angles.copy()
-            plus[j] += method.fd_delta
-            f_plus = eval_at(plus, j + 1)
-            ledger.add_backward(1)
-            deriv[:, j] = (f_plus - base) / method.fd_delta
-    else:  # central
-        for j in range(all_angles.size):
-            plus = all_angles.copy()
-            plus[j] += method.fd_delta
-            minus = all_angles.copy()
-            minus[j] -= method.fd_delta
-            f_plus = eval_at(plus, 2 * j + 1)
-            f_minus = eval_at(minus, 2 * j + 2)
-            ledger.add_backward(2)
-            deriv[:, j] = (f_plus - f_minus) / (2.0 * method.fd_delta)
-
-    return base, QNodeJacobian(d_params=deriv[:, q:], d_inputs=deriv[:, :q])
+        deriv = (f[1:] - f[0]) / method.fd_delta
+    else:
+        deriv = (f[1::2] - f[2::2]) / (2.0 * method.fd_delta)
+    return f[0], QNodeJacobian(d_params=deriv[q:].T, d_inputs=deriv[:q].T)
 
 
 def jacobian(spec: CircuitSpec, qinput: QNodeInput, method: GradMethod,
              ledger: CallLedger, mode: Shots | None = None) -> QNodeJacobian:
-    _, jac = value_and_jacobian(spec, qinput, method, ledger, mode)
-    return jac
+    return value_and_jacobian(spec, qinput, method, ledger, mode)[1]
 
 
 def ledger_predict(T: int, V: int, L: int, Q: int, method: GradMethod) -> int:
@@ -272,13 +186,12 @@ def ledger_predict(T: int, V: int, L: int, Q: int, method: GradMethod) -> int:
 
 def ledger_reconcile(ledger: CallLedger, predicted: int) -> dict:
     """Check measured calls against a prediction; raise on mismatch."""
-    n_forward, n_backward = ledger.snapshot()
     report = {
-        "measured": n_forward + n_backward,
+        "measured": ledger.n_calls,
         "predicted": predicted,
-        "n_forward": n_forward,
-        "n_backward": n_backward,
-        "ok": n_forward + n_backward == predicted,
+        "n_forward": ledger.n_forward,
+        "n_backward": ledger.n_backward,
+        "ok": ledger.n_calls == predicted,
     }
     if not report["ok"]:
         raise ReconciliationError(report)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .statevector import Gate, StateVector, apply_gates
-from .statevector import estimate_z_from_counts, sample, z_expectations
+from .statevector import Gate, StateVector, apply_gates, brick_pairs, evolve
+from .statevector import estimate_z_from_counts, sample, sampled_z_rows
+from .statevector import z_expectations, z_rows
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,12 @@ class Shots:
             raise ValueError("shots must be >= 1")
 
 
+def derive_seed(base: int, *keys: int) -> int:
+    """An independent PCG64 seed for the stream `keys` under `base`."""
+    seq = np.random.SeedSequence(entropy=[int(base), *map(int, keys)])
+    return int(seq.generate_state(1)[0])
+
+
 @dataclass
 class QNodeInput:
     features: np.ndarray  # raw, pre-scaling, length Q
@@ -93,12 +100,6 @@ def encode_features(x: np.ndarray) -> np.ndarray:
     return (math.pi / 2.0) * np.tanh(x)
 
 
-def _brick_pairs(num_qubits: int) -> list[tuple[int, int]]:
-    evens = [(q, q + 1) for q in range(0, num_qubits - 1, 2)]
-    odds = [(q, q + 1) for q in range(1, num_qubits - 1, 2)]
-    return evens + odds
-
-
 def build_from_angles(spec: CircuitSpec, angles: np.ndarray,
                       params: np.ndarray) -> list[Gate]:
     """Gate sequence with encoding angles already computed."""
@@ -113,7 +114,7 @@ def build_from_angles(spec: CircuitSpec, angles: np.ndarray,
         )
     gates = [Gate("h", w) for w in range(q)]
     gates += [Gate("ry", w, theta=float(angles[w])) for w in range(q)]
-    pairs = _brick_pairs(q)
+    pairs = brick_pairs(q)
     for layer in range(spec.q_depth):
         gates += [Gate("cx", tgt, control=ctl) for ctl, tgt in pairs]
         gates += [
@@ -122,13 +123,17 @@ def build_from_angles(spec: CircuitSpec, angles: np.ndarray,
     return gates
 
 
-def build_circuit(spec: CircuitSpec, qinput: QNodeInput) -> list[Gate]:
-    """Full gate list for raw features (encoding applied internally)."""
+def _encoded(spec: CircuitSpec, qinput: QNodeInput) -> np.ndarray:
     if qinput.features.shape != (spec.num_qubits,):
         raise ValueError(
             f"expected {spec.num_qubits} features, got {qinput.features.shape}"
         )
-    return build_from_angles(spec, encode_features(qinput.features), qinput.params)
+    return encode_features(qinput.features)
+
+
+def build_circuit(spec: CircuitSpec, qinput: QNodeInput) -> list[Gate]:
+    """Full gate list for raw features (encoding applied internally)."""
+    return build_from_angles(spec, _encoded(spec, qinput), qinput.params)
 
 
 def evaluate_angles(spec: CircuitSpec, angles: np.ndarray, params: np.ndarray,
@@ -147,23 +152,29 @@ def evaluate_angles(spec: CircuitSpec, angles: np.ndarray, params: np.ndarray,
 def evaluate(spec: CircuitSpec, qinput: QNodeInput,
              mode: Shots | None = None) -> np.ndarray:
     """The circuit-as-function: raw features and params to Q expectations."""
-    if qinput.features.shape != (spec.num_qubits,):
-        raise ValueError(
-            f"expected {spec.num_qubits} features, got {qinput.features.shape}"
-        )
-    return evaluate_angles(spec, encode_features(qinput.features),
-                           qinput.params, mode)
+    return evaluate_angles(spec, _encoded(spec, qinput), qinput.params, mode)
 
 
-def evaluate_batch(spec: CircuitSpec, inputs: list[QNodeInput],
-                   mode: Shots | None = None) -> list[np.ndarray]:
-    out = []
-    for i, qinput in enumerate(inputs):
-        try:
-            out.append(evaluate(spec, qinput, mode))
-        except Exception as exc:
-            raise type(exc)(f"input {i}: {exc}") from exc
-    return out
+BLOCK_AMPS = 1 << 13  # amplitudes per kernel call, which bounds its memory
+
+
+def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
+                  mode: Shots | None = None, keys: tuple = ()) -> np.ndarray:
+    """(B, Q) per-qubit <Z> of one circuit per row of L*Q angles: the Q
+    encoding angles, then the variational ones, run through the kernel in
+    blocks of at most BLOCK_AMPS amplitudes. In shot mode row i samples
+    with seed derive_seed(mode.seed, *keys, i)."""
+    step = max(1, BLOCK_AMPS >> spec.num_qubits)
+    z = []
+    for start in range(0, len(angles), step):
+        amps = evolve(spec.num_qubits, spec.q_depth, angles[start:start + step])
+        if mode is None:
+            z.append(z_rows(amps))
+        else:
+            seeds = [derive_seed(mode.seed, *keys, start + i)
+                     for i in range(len(amps))]
+            z.append(sampled_z_rows(amps, mode.shots, seeds))
+    return np.vstack(z)
 
 
 def describe(spec: CircuitSpec, qinput: QNodeInput) -> str:

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .autodiff import CallLedger, GradMethod, jacobian, ledger_predict
+from .autodiff import (CallLedger, GradMethod, jacobian, ledger_predict,
+                       ledger_reconcile)
 from .backends import BackendProfile, estimate_runtime, load_profile
 from .circuit import CircuitSpec, QNodeInput, Shots
-from .errors import ConfigError
-from .model import (HybridModel, evaluate_test, load_checkpoint,
-                    save_checkpoint, train)
+from .errors import ConfigError, ReconciliationError
+from .model import (EpochMetrics, HybridModel, evaluate_test,
+                    load_checkpoint, save_checkpoint, train)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -154,20 +155,23 @@ def cmd_train(args) -> int:
 
     model = HybridModel.init(n_features, cfg.circuit, cfg.seed)
     mode = Shots(cfg.shots, cfg.seed) if cfg.shots else None
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    model, metrics, ledger = train(model, train_set, val_set, cfg.epochs,
-                                   cfg.method, cfg.seed, mode)
+    try:
+        model, metrics, ledger = train(model, train_set, val_set, cfg.epochs,
+                                       cfg.method, cfg.seed, mode)
+    except ReconciliationError as exc:
+        _write_atomic(out / "report.json", json.dumps(
+            {"config": cfg.to_dict(), "reconcile": exc.report}, indent=2))
+        raise
     report = evaluate_test(model, test_set, mode) if test_set else None
     wall_s = time.perf_counter() - t0
 
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     _write_atomic(out / "run_config.json", json.dumps(cfg.to_dict(), indent=2))
     _write_atomic(out / "split.json",
                   data_mod.split_record((train_set, val_set, test_set), split_cfg))
-    rows = [type(metrics[0]).CSV_HEADER if metrics else
-            "epoch,train_loss,train_acc,val_loss,val_acc,n_calls,elapsed_ms"]
-    rows += [m.csv_row() for m in metrics]
+    rows = [EpochMetrics.CSV_HEADER] + [m.csv_row() for m in metrics]
     _write_atomic(out / "metrics.csv", "\n".join(rows) + "\n")
     save_checkpoint(out / "checkpoint.json", model, None, cfg.seed)
 
@@ -177,6 +181,7 @@ def cmd_train(args) -> int:
     doc_out = {
         "config": cfg.to_dict(),
         "ledger": ledger.to_dict(method=cfg.method_name, predicted=predicted),
+        "reconcile": ledger_reconcile(ledger, predicted),
         "wall_seconds": wall_s,
         "splits": {"train": len(train_set), "val": len(val_set),
                    "test": len(test_set)},
@@ -251,10 +256,9 @@ def cmd_gradcheck(args) -> int:
         j_bp = jacobian(spec, qinput, GradMethod.backprop(), ledger)
         j_ps = jacobian(spec, qinput, GradMethod.param_shift(), ledger)
         j_fd = jacobian(spec, qinput, fd, ledger)
-        for a, b in ((j_ps, j_bp),):
-            max_shift = max(max_shift,
-                            float(np.max(np.abs(a.d_params - b.d_params))),
-                            float(np.max(np.abs(a.d_inputs - b.d_inputs))))
+        max_shift = max(max_shift,
+                        float(np.max(np.abs(j_ps.d_params - j_bp.d_params))),
+                        float(np.max(np.abs(j_ps.d_inputs - j_bp.d_inputs))))
         max_fd = max(max_fd,
                      float(np.max(np.abs(j_fd.d_params - j_bp.d_params))),
                      float(np.max(np.abs(j_fd.d_inputs - j_bp.d_inputs))))
@@ -282,14 +286,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    rows = [
-        ("backprop", ledger_predict(args.T, args.V, args.L, args.Q,
-                                    GradMethod.backprop())),
-        ("finite-diff", ledger_predict(args.T, args.V, args.L, args.Q,
-                                       GradMethod.finite_diff())),
-        ("param-shift", ledger_predict(args.T, args.V, args.L, args.Q,
-                                       GradMethod.param_shift())),
-    ]
+    rows = [(name, ledger_predict(args.T, args.V, args.L, args.Q,
+                                  GradMethod.parse(name)))
+            for name in _METHODS]
     if args.json:
         print(json.dumps({
             "T": args.T, "V": args.V, "L": args.L, "Q": args.Q,

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import CallLedger, GradMethod, value_and_jacobian
-from .circuit import CircuitSpec, QNodeInput, Shots, encode_features, evaluate_angles
+from .autodiff import (CallLedger, GradMethod, ledger_predict,
+                       ledger_reconcile, value_and_jacobian)
+from .circuit import (CircuitSpec, QNodeInput, Shots, derive_seed,
+                      encode_features, evaluate_angles, evaluate_rows)
+from .data import LABELS
 from .errors import DataError
-
-LABELS = ("no_crack", "crack")
 
 
 def label_index(label: str) -> int:
@@ -81,18 +82,34 @@ class HybridModel:
             post=LinearLayer.init(qspec.num_qubits, 2, rng),
         )
 
-    def forward(self, features: np.ndarray, ledger: CallLedger | None = None,
-                mode: Shots | None = None) -> np.ndarray:
+    def _angles(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=float)
         if features.shape != (self.pre.in_dim,):
             raise ValueError(
                 f"expected {self.pre.in_dim} features, got {features.shape}"
             )
-        angles = encode_features(self.pre.apply(features))
-        z = evaluate_angles(self.qspec, angles, self.qparams, mode)
+        return encode_features(self.pre.apply(features))
+
+    def forward(self, features: np.ndarray, ledger: CallLedger | None = None,
+                mode: Shots | None = None) -> np.ndarray:
+        z = evaluate_angles(self.qspec, self._angles(features), self.qparams,
+                            mode)
         if ledger is not None:
             ledger.add_forward(1)
         return self.post.apply(z)
+
+    def forward_rows(self, features, ledger: CallLedger | None = None,
+                     mode: Shots | None = None, keys: tuple = ()
+                     ) -> np.ndarray:
+        """(B, 2) logits of B feature vectors, their circuits run as rows of
+        one evaluate_rows call; in shot mode row i samples with seed
+        derive_seed(mode.seed, *keys, i). The linear layers run per row."""
+        angles = np.array([self._angles(x) for x in features])
+        params = np.tile(self.qparams, (len(angles), 1))
+        z = evaluate_rows(self.qspec, np.hstack([angles, params]), mode, keys)
+        if ledger is not None:
+            ledger.add_forward(len(angles))
+        return np.array([self.post.apply(zi) for zi in z])
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {
@@ -121,6 +138,8 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
     The gradient chain: d(loss)/d(logits) -> post layer -> quantum outputs
     -> quantum Jacobian (method-dependent) -> encoding angles -> tanh
     scaling -> pre layer. Only quantum-node executions touch the ledger.
+    In shot mode sample 0 samples under `mode` and sample i > 0 under
+    derive_seed(mode.seed, i), so no two samples share shot noise.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -133,7 +152,10 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
         features = np.asarray(features, dtype=float)
         u = model.pre.apply(features)
         qinput = QNodeInput(features=u, params=model.qparams)
-        z, jac = value_and_jacobian(model.qspec, qinput, method, ledger, mode)
+        m = mode
+        if mode is not None and i:
+            m = Shots(mode.shots, derive_seed(mode.seed, i))
+        z, jac = value_and_jacobian(model.qspec, qinput, method, ledger, m)
         logits = model.post.apply(z)
         logits_out[i] = logits
         total_loss += cross_entropy(logits, label)
@@ -207,37 +229,15 @@ class EpochMetrics:
                 f"{self.elapsed_ms:.3f}")
 
 
-def _eval_split(model: HybridModel, samples, ledger: CallLedger | None,
-                mode: Shots | None, seed_tag: int) -> tuple[float, float]:
-    loss = 0.0
-    correct = 0
-    for i, s in enumerate(samples):
-        m = mode
-        if mode is not None:
-            m = Shots(mode.shots, _sample_seed(mode.seed, seed_tag, i))
-        logits = model.forward(s.values, ledger, m)
-        y = label_index(s.label)
-        loss += cross_entropy(logits, y)
-        correct += int(np.argmax(logits) == y)
-    n = len(samples)
-    return loss / n, correct / n
-
-
-def _sample_seed(base: int, *keys: int) -> int:
-    seq = np.random.SeedSequence(entropy=[int(base), *map(int, keys)])
-    return int(seq.generate_state(1)[0])
-
-
 def train(model: HybridModel, train_set, val_set, epochs: int,
-          method: GradMethod, seed: int, mode: Shots | None = None,
-          batch_size: int = 1
+          method: GradMethod, seed: int, mode: Shots | None = None
           ) -> tuple[HybridModel, list[EpochMetrics], CallLedger]:
-    """Seeded shuffling, per-sample (or mini-batch) Adam steps, one
-    validation forward pass per image per epoch."""
+    """Seeded shuffling, per-sample Adam steps, one validation forward pass
+    per image per epoch. Afterwards the ledger must equal epochs times
+    ledger_predict, or ReconciliationError is raised."""
     if epochs and not train_set:
         raise ValueError("training split is empty")
-    ledger = CallLedger(T=len(train_set), V=len(val_set),
-                        L=model.qspec.num_layers, Q=model.qspec.num_qubits)
+    ledger = CallLedger()
     params = model.parameters()
     opt = OptimizerState.for_params(params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F]))
@@ -246,28 +246,24 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
     for epoch in range(epochs):
         t0 = time.perf_counter()
         calls_before = ledger.n_calls
-        order = shuffle_rng.permutation(len(train_set))
         train_loss = 0.0
         train_correct = 0
-        for start in range(0, len(order), batch_size):
-            chunk = order[start:start + batch_size]
-            batch = []
-            for j, idx in enumerate(chunk):
-                s = train_set[idx]
-                batch.append((s.values, label_index(s.label)))
+        for step, idx in enumerate(shuffle_rng.permutation(len(train_set))):
+            s = train_set[idx]
+            label = label_index(s.label)
             m = mode
             if mode is not None:
-                m = Shots(mode.shots, _sample_seed(mode.seed, epoch, start))
-            loss, grads, logits = loss_and_grad(model, batch, method, ledger, m)
+                m = Shots(mode.shots, derive_seed(mode.seed, epoch, step))
+            loss, grads, logits = loss_and_grad(model, [(s.values, label)],
+                                                method, ledger, m)
             adam_step(params, grads, opt)
-            train_loss += loss * len(batch)
-            labels = np.array([b[1] for b in batch])
-            train_correct += int(np.sum(np.argmax(logits, axis=1) == labels))
+            train_loss += loss
+            train_correct += int(np.argmax(logits[0]) == label)
+        val_loss = val_acc = float("nan")
         if val_set:
-            val_loss, val_acc = _eval_split(model, val_set, ledger, mode,
-                                            seed_tag=epoch + 1_000_000)
-        else:
-            val_loss, val_acc = float("nan"), float("nan")
+            val = evaluate_test(model, val_set, mode, ledger,
+                                seed_tag=epoch + 1_000_000)
+            val_loss, val_acc = val.loss, val.accuracy
         metrics.append(EpochMetrics(
             epoch=epoch,
             train_loss=train_loss / len(train_set),
@@ -277,6 +273,9 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
             n_calls=ledger.n_calls - calls_before,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         ))
+    ledger_reconcile(ledger, epochs * ledger_predict(
+        len(train_set), len(val_set), model.qspec.num_layers,
+        model.qspec.num_qubits, method))
     return model, metrics, ledger
 
 
@@ -296,18 +295,20 @@ class TestReport:
         }
 
 
-def evaluate_test(model: HybridModel, test_set,
-                  mode: Shots | None = None) -> TestReport:
+def evaluate_test(model: HybridModel, test_set, mode: Shots | None = None,
+                  ledger: CallLedger | None = None,
+                  seed_tag: int = 0xE7A1) -> TestReport:
+    """Loss, accuracy and confusion over a split, its circuits run as rows
+    of one evaluate_rows call; in shot mode image i samples with seed
+    derive_seed(mode.seed, seed_tag, i)."""
     if not test_set:
         raise ValueError("test split is empty")
     conf = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
     loss = 0.0
     wrong: list[str] = []
-    for i, s in enumerate(test_set):
-        m = mode
-        if mode is not None:
-            m = Shots(mode.shots, _sample_seed(mode.seed, 0xE7A1, i))
-        logits = model.forward(s.values, None, m)
+    rows = model.forward_rows([s.values for s in test_set], ledger, mode,
+                              (seed_tag,))
+    for s, logits in zip(test_set, rows):
         y = label_index(s.label)
         pred = int(np.argmax(logits))
         loss += cross_entropy(logits, y)

@@ -1,4 +1,13 @@
-"""Exact complex-amplitude simulation of small qubit registers.
+"""Exact simulation of small qubit registers, in two forms.
+
+  * `evolve` is the batched kernel the training and evaluation paths run:
+    a (B, 2^Q) stack of float64 amplitudes taken through the H wall, the
+    Ry encoding and the CX-brick + Ry layers, with the angles given per
+    row. Every gate in use is a real matrix, so float64 loses nothing, and
+    each Ry uses `apply_gate`'s elementwise formula, so the amplitudes
+    equal the real parts of the register `apply_gate` evolves, bit for bit.
+  * `StateVector` + `apply_gate` simulate one complex register gate by
+    gate. They are the single-register API and the kernel's reference.
 
 Conventions:
   * Little-endian basis ordering: qubit 0 is the least-significant bit of
@@ -13,6 +22,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -118,23 +128,14 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits)
 
 
-# Index caches for strided gate application, keyed by
-# (num_qubits, target, control). Small circuits hit these constantly.
-_PAIR_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _pair_indices(num_qubits: int, target: int, control: int | None):
-    key = (num_qubits, target, control)
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Indices of the amplitude pairs a gate mixes: target bit 0, then 1."""
     idx = np.arange(1 << num_qubits)
     lo = idx[(idx >> target) & 1 == 0]
     if control is not None:
         lo = lo[(lo >> control) & 1 == 1]
-    hi = lo | (1 << target)
-    _PAIR_CACHE[key] = (lo, hi)
-    return lo, hi
+    return lo, lo | (1 << target)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -167,16 +168,11 @@ def apply_gates(state: StateVector, gates) -> StateVector:
     return state
 
 
-_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _z_signs(num_qubits: int, qubit: int) -> np.ndarray:
-    key = (num_qubits, qubit)
-    signs = _SIGN_CACHE.get(key)
-    if signs is None:
-        signs = 1 - 2 * ((np.arange(1 << num_qubits) >> qubit) & 1)
-        _SIGN_CACHE[key] = signs
-    return signs
+@functools.lru_cache(maxsize=None)
+def z_signs(num_qubits: int) -> np.ndarray:
+    """(Q, 2^Q) eigenvalues of Z_k on each basis state: 1 - 2*bit_k."""
+    idx = np.arange(1 << num_qubits)
+    return 1.0 - 2.0 * ((idx >> np.arange(num_qubits)[:, None]) & 1)
 
 
 def z_expectation(state: StateVector, qubit: int) -> float:
@@ -185,7 +181,7 @@ def z_expectation(state: StateVector, qubit: int) -> float:
         raise ValueError(f"qubit index {qubit} out of range")
     amps = state.amps
     probs = amps.real * amps.real + amps.imag * amps.imag
-    return float(np.dot(probs, _z_signs(state.num_qubits, qubit)))
+    return float(np.dot(probs, z_signs(state.num_qubits)[qubit]))
 
 
 def z_expectations(state: StateVector) -> np.ndarray:
@@ -258,3 +254,81 @@ def bloch_coords(state: StateVector) -> BlochCoords:
         beta = beta * (abs(alpha) / alpha)
         phi = cmath.phase(beta) % (2.0 * math.pi)
     return BlochCoords(theta=theta, phi=phi)
+
+
+# ---------------------------------------------------------------------------
+# Batched float64 kernel
+
+def brick_pairs(num_qubits: int) -> list[tuple[int, int]]:
+    """(control, target) of one CX brick: even pairs, then odd pairs."""
+    evens = [(q, q + 1) for q in range(0, num_qubits - 1, 2)]
+    odds = [(q, q + 1) for q in range(1, num_qubits - 1, 2)]
+    return evens + odds
+
+
+@functools.lru_cache(maxsize=None)
+def brick_permutation(num_qubits: int) -> np.ndarray:
+    """amps[:, perm] applies the CX gates of one brick, in order."""
+    perm = np.arange(1 << num_qubits)
+    for control, target in brick_pairs(num_qubits):
+        lo, hi = _pair_indices(num_qubits, target, control)
+        perm[lo], perm[hi] = perm[hi], perm[lo]
+    return perm
+
+
+_SWAP_SIGN = np.array([[-1.0], [1.0]])
+
+
+def ry_pi(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """Ry(pi) on `qubit` of every row: (a0, a1) -> (-a1, a0), exactly."""
+    v = amps.reshape(len(amps), -1, 2, 1 << qubit)
+    return (v[:, :, ::-1] * _SWAP_SIGN).reshape(amps.shape)
+
+
+def evolve(num_qubits: int, q_depth: int, angles: np.ndarray) -> np.ndarray:
+    """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
+    encoding, then q_depth blocks of a CX brick and one Ry per wire, with
+    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q)."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise CapacityError(
+            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
+        )
+    angles = np.asarray(angles, dtype=float)
+    n = (q_depth + 1) * num_qubits
+    if angles.ndim != 2 or angles.shape[1] != n:
+        raise ValueError(f"expected (B, {n}) angles, got {angles.shape}")
+    # the H wall on |0...0> leaves every amplitude equal to (1/sqrt 2)^Q,
+    # rounded once per gate as apply_gate rounds it
+    amp = 1.0
+    for _ in range(num_qubits):
+        amp = _SQRT_HALF * amp
+    amps = np.full((len(angles), 1 << num_qubits), amp)
+    half = (angles / 2)[:, :, None]
+    c, s = np.cos(half), np.sin(half)
+    perm = brick_permutation(num_qubits)
+    for j in range(n):
+        qubit = j % num_qubits
+        if qubit == 0 and j:
+            amps = amps[:, perm]
+        # c*(a0, a1) + s*(-a1, a0) rounds as apply_gate's c*a0 - s*a1,
+        # s*a0 + c*a1: negation is exact and addition commutes
+        amps = c[:, j] * amps + s[:, j] * ry_pi(amps, qubit)
+    return amps
+
+
+def z_rows(amps: np.ndarray) -> np.ndarray:
+    """<Z> for every row and qubit of a (B, 2^Q) float64 stack."""
+    return (amps * amps) @ z_signs(amps.shape[1].bit_length() - 1).T
+
+
+def sampled_z_rows(amps: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """<Z> estimated from `shots` measurements of each row, row i drawn with
+    seeds[i]: the counts `sample` draws for that register, read out as
+    `estimate_z_from_counts` reads them."""
+    probs = np.clip(amps * amps, 0.0, None)
+    raw = np.array([
+        np.random.default_rng(seed).multinomial(shots, p / p.sum())
+        for p, seed in zip(probs, seeds)
+    ])
+    # integer counts: the signed sums are exact, so one division rounds
+    return (raw @ z_signs(amps.shape[1].bit_length() - 1).T) / shots

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from dense_oracle import apply_dense
 from qcrack.circuit import (CircuitSpec, QNodeInput, Shots, build_circuit,
-                            describe, encode_features, evaluate,
-                            evaluate_batch)
+                            derive_seed, describe, encode_features, evaluate,
+                            evaluate_angles, evaluate_rows)
 from qcrack.errors import DataError
 from qcrack.statevector import zero_state
 
@@ -139,25 +139,28 @@ class TestEvaluate:
         assert np.max(np.abs(z1 - evaluate(spec, qin))) <= 0.02
 
 
-class TestEvaluateBatch:
-    def test_empty(self):
-        assert evaluate_batch(CircuitSpec(), []) == []
-
-    def test_matches_sequential(self):
+class TestEvaluateRows:
+    def test_matches_single_register(self):
         spec = CircuitSpec(num_qubits=3, q_depth=2)
         rng = np.random.default_rng(2)
-        inputs = [QNodeInput(rng.normal(size=3), rng.normal(size=6))
-                  for _ in range(100)]
-        batch = evaluate_batch(spec, inputs)
-        for qin, z in zip(inputs, batch):
-            assert np.array_equal(z, evaluate(spec, qin))
+        rows = rng.uniform(-np.pi, np.pi, size=(50, 9))
+        z = evaluate_rows(spec, rows)
+        for row, zi in zip(rows, z):
+            ref = evaluate_angles(spec, row[:3], row[3:])
+            assert np.max(np.abs(zi - ref)) <= 1e-14
 
-    def test_error_carries_index(self):
-        spec = CircuitSpec(num_qubits=2, q_depth=1)
-        good = QNodeInput(np.zeros(2), np.zeros(2))
-        bad = QNodeInput(np.zeros(3), np.zeros(2))
-        with pytest.raises(ValueError, match="input 1"):
-            evaluate_batch(spec, [good, bad])
+    def test_shot_rows_use_derived_seeds(self):
+        spec = CircuitSpec(num_qubits=3, q_depth=1)
+        rows = np.random.default_rng(4).uniform(-np.pi, np.pi, size=(6, 6))
+        mode = Shots(shots=100, seed=12)
+        z = evaluate_rows(spec, rows, mode, keys=(7,))
+        for i, (row, zi) in enumerate(zip(rows, z)):
+            m = Shots(100, derive_seed(12, 7, i))
+            assert np.array_equal(zi, evaluate_angles(spec, row[:3], row[3:], m))
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            evaluate_rows(CircuitSpec(num_qubits=2, q_depth=1), np.zeros((3, 3)))
 
 
 class TestSpecSerialization:

@@ -196,6 +196,36 @@ class TestTrainCommand:
         assert report["ledger"]["n_calls"] == report["ledger"]["predicted"]
 
 
+class TestTrainReconciliation:
+    def test_report_records_reconcile(self, capsys, tmp_path, feature_csv):
+        cfg = train_config(tmp_path, feature_csv, method="param-shift")
+        code, _, _ = run(capsys, "train", "--config", str(cfg))
+        assert code == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["reconcile"]["ok"]
+        assert report["reconcile"]["measured"] == report["ledger"]["predicted"]
+
+    def test_ledger_off_by_one_exits_1(self, capsys, tmp_path, feature_csv,
+                                       monkeypatch):
+        import qcrack.model as model_mod
+        real = model_mod.value_and_jacobian
+        calls = []
+
+        def one_extra_call(spec, qinput, method, ledger, mode=None):
+            if not calls:
+                ledger.add_forward(1)
+            calls.append(1)
+            return real(spec, qinput, method, ledger, mode)
+
+        monkeypatch.setattr(model_mod, "value_and_jacobian", one_extra_call)
+        cfg = train_config(tmp_path, feature_csv)
+        code, _, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 1 and "call-ledger mismatch" in err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        rec = report["reconcile"]
+        assert not rec["ok"] and rec["measured"] == rec["predicted"] + 1
+
+
 class TestEvalCommand:
     def test_matches_training_report(self, capsys, tmp_path, feature_csv):
         cfg = train_config(tmp_path, feature_csv, epochs=1)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qcrack.autodiff import CallLedger, GradMethod, ledger_predict
-from qcrack.circuit import CircuitSpec
+from qcrack.circuit import CircuitSpec, Shots
 from qcrack.data import FeatureSample
-from qcrack.errors import DataError
+from qcrack.errors import DataError, ReconciliationError
 from qcrack.model import (HybridModel, LinearLayer, OptimizerState, adam_step,
                           cross_entropy, evaluate_test, load_checkpoint,
                           loss_and_grad, save_checkpoint, train)
@@ -82,6 +82,16 @@ class TestLossAndGrad:
         for k in g1:
             assert np.allclose(g1[k], g2[k], atol=1e-14)
 
+    def test_shot_noise_independent_per_sample(self):
+        model = tiny_model(seed=5)
+        x = np.array([0.3, -0.1, 0.2, 0.4])
+        mode = Shots(64, 5)
+        _, _, pair = loss_and_grad(model, [(x, 1), (x, 1)], PS, CallLedger(),
+                                   mode)
+        _, _, single = loss_and_grad(model, [(x, 1)], PS, CallLedger(), mode)
+        assert not np.array_equal(pair[0], pair[1])
+        assert np.array_equal(single[0], pair[0])
+
     def test_bad_label(self):
         with pytest.raises(DataError):
             loss_and_grad(tiny_model(), [(np.zeros(4), 2)], BP, CallLedger())
@@ -148,6 +158,32 @@ class TestAdam:
 
 
 class TestTrain:
+    def test_ledger_mismatch_raises(self, monkeypatch):
+        import qcrack.model as model_mod
+        real = model_mod.value_and_jacobian
+
+        def over_charging(spec, qinput, method, ledger, mode=None):
+            ledger.add_backward(1)
+            return real(spec, qinput, method, ledger, mode)
+
+        monkeypatch.setattr(model_mod, "value_and_jacobian", over_charging)
+        samples = make_samples(3, 4, 2)
+        with pytest.raises(ReconciliationError) as exc:
+            train(tiny_model(seed=3), samples[:4], samples[4:], 1, BP, seed=4)
+        assert exc.value.report["measured"] == \
+            ledger_predict(4, 2, 2, 2, BP) + 4
+
+    def test_forward_rows_match_forward(self):
+        model = tiny_model(n_features=5, q=3, d=2, seed=7)
+        xs = np.random.default_rng(8).normal(size=(6, 5))
+        ledger = CallLedger()
+        rows = model.forward_rows(xs, ledger)
+        assert ledger.n_forward == 6
+        for x, row in zip(xs, rows):
+            assert np.max(np.abs(row - model.forward(x))) <= 1e-14
+        with pytest.raises(ValueError):
+            model.forward_rows(np.zeros((2, 4)))
+
     def test_zero_epochs(self):
         model = tiny_model()
         before = {k: v.copy() for k, v in model.parameters().items()}

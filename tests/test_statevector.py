@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from dense_oracle import apply_dense
 from conftest import random_gate_sequence
+from qcrack.circuit import CircuitSpec, build_from_angles
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import (Gate, ShotCounts, StateVector, apply_gate,
-                                apply_gates, bloch_coords,
-                                estimate_z_from_counts, sample, z_expectation,
-                                zero_state)
+                                apply_gates, bloch_coords, brick_pairs,
+                                brick_permutation, estimate_z_from_counts,
+                                evolve, sample, sampled_z_rows, z_expectation,
+                                z_rows, zero_state)
 
 
 def plus_state():
@@ -243,3 +245,51 @@ class TestJsonDump:
         assert len(doc["amps"]) == 4
         s2 = StateVector.from_json(s.to_json())
         assert np.allclose(s.amps, s2.amps)
+
+
+class TestKernel:
+    """evolve against the gate-by-gate register and the dense oracle."""
+
+    @given(q=st.integers(1, 6), depth=st.integers(1, 3), b=st.integers(1, 20),
+           seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_apply_gate_and_oracle(self, q, depth, b, seed):
+        spec = CircuitSpec(num_qubits=q, q_depth=depth)
+        angles = np.random.default_rng(seed).uniform(
+            -2 * math.pi, 2 * math.pi, size=(b, q * spec.num_layers))
+        amps = evolve(q, depth, angles)
+        z = z_rows(amps)
+        assert amps.dtype == np.float64 and amps.shape == (b, 1 << q)
+        for row, got, got_z in zip(angles, amps, z):
+            gates = build_from_angles(spec, row[:q], row[q:])
+            ref = apply_gates(zero_state(q), gates).amps
+            assert np.array_equal(ref.imag, np.zeros(1 << q))
+            assert np.array_equal(got, ref.real)
+            dense = apply_dense(zero_state(q).amps, gates, q)
+            oracle_z = [np.sum(np.abs(dense) ** 2 * (1 - 2 * ((np.arange(
+                1 << q) >> k) & 1))) for k in range(q)]
+            assert np.max(np.abs(got_z - oracle_z)) <= 1e-12
+
+    def test_sampled_rows_match_sample(self):
+        angles = np.random.default_rng(3).uniform(-3, 3, size=(5, 6))
+        amps = evolve(3, 1, angles)
+        z = sampled_z_rows(amps, 500, range(10, 15))
+        for row, got, seed in zip(amps, z, range(10, 15)):
+            counts = sample(StateVector(3, row), 500, seed)
+            assert np.array_equal(
+                got, [estimate_z_from_counts(counts, k) for k in range(3)])
+
+    def test_brick_permutation_is_the_cx_gates(self):
+        for q in range(1, 7):
+            state = StateVector(q, np.arange(1 << q))
+            gates = [Gate("cx", t, control=c) for c, t in brick_pairs(q)]
+            assert np.array_equal(brick_permutation(q),
+                                  apply_gates(state, gates).amps.real)
+
+    def test_validation(self):
+        with pytest.raises(CapacityError):
+            evolve(21, 1, np.zeros((1, 42)))
+        with pytest.raises(ValueError):
+            evolve(2, 1, np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            evolve(2, 1, np.zeros(4))
