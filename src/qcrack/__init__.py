@@ -4,23 +4,21 @@ accounting."""
 
 from .autodiff import (CallLedger, GradMethod, QNodeJacobian, jacobian,
                        ledger_predict, ledger_reconcile, value_and_jacobian)
-from .circuit import (CircuitSpec, QNodeInput, Shots, build_circuit,
-                      describe, encode_features, evaluate)
+from .circuit import CircuitSpec, QNodeInput, Shots, encode_features
 from .data import (FeatureSample, Patch, SplitConfig, extract_features,
                    generate_synthetic, import_features, load_dataset, split)
 from .model import (HybridModel, LinearLayer, OptimizerState, adam_step,
                     evaluate_test, loss_and_grad, train)
-from .statevector import (BlochCoords, Gate, ShotCounts, StateVector,
-                          apply_gate, bloch_coords, estimate_z_from_counts,
-                          sample, z_expectation, zero_state)
+from .statevector import (Gate, ShotCounts, StateVector, apply_gate,
+                          estimate_z_from_counts, sample, z_expectation,
+                          zero_state)
 
 __all__ = [
-    "BlochCoords", "CallLedger", "CircuitSpec", "FeatureSample", "Gate",
+    "CallLedger", "CircuitSpec", "FeatureSample", "Gate",
     "GradMethod", "HybridModel", "LinearLayer", "OptimizerState", "Patch",
     "QNodeInput", "QNodeJacobian", "ShotCounts", "Shots", "SplitConfig",
-    "StateVector", "adam_step", "apply_gate", "bloch_coords", "build_circuit",
-    "describe", "encode_features", "estimate_z_from_counts", "evaluate",
-    "evaluate_test", "extract_features",
+    "StateVector", "adam_step", "apply_gate", "encode_features",
+    "estimate_z_from_counts", "evaluate_test", "extract_features",
     "generate_synthetic", "import_features", "jacobian", "ledger_predict",
     "ledger_reconcile", "load_dataset", "loss_and_grad", "sample", "split",
     "train", "value_and_jacobian", "z_expectation", "zero_state",

@@ -36,8 +36,8 @@ class GradMethod:
     def __post_init__(self):
         if self.kind not in (BACKPROP, FINITE_DIFF, PARAM_SHIFT):
             raise ValueError(f"unknown gradient method {self.kind!r}")
-        if self.fd_delta <= 0:
-            raise ValueError("fd_delta must be positive")
+        if not 0 < self.fd_delta < math.inf:
+            raise ValueError("fd_delta must be positive and finite")
         if self.fd_variant not in ("forward", "central"):
             raise ValueError(f"unknown finite-difference variant {self.fd_variant!r}")
 

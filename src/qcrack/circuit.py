@@ -9,34 +9,37 @@ has L = q_depth + 1 layers of differentiable angles.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .statevector import Gate, StateVector, apply_gates, brick_pairs, evolve
-from .statevector import estimate_z_from_counts, sample, sampled_z_rows
-from .statevector import z_expectations, z_rows
+from .errors import CapacityError, DataError
+from .statevector import MAX_QUBITS, Gate, StateVector, apply_gates
+from .statevector import brick_pairs, estimate_z_from_counts, evolve, sample
+from .statevector import sampled_z_rows, z_expectations, z_rows
+
+# keys older configs and checkpoints carry, with the one value each can hold
+_FIXED_KEYS = {"entanglement": "parallel-brick", "input_scaling": "tanh-halfpi"}
 
 
 @dataclass(frozen=True)
 class CircuitSpec:
+    """Size of the one circuit: a parallel CX brick per block and
+    (pi/2)*tanh(x) encoding, on num_qubits wires with q_depth blocks."""
     num_qubits: int = 4
     q_depth: int = 1
-    entanglement: str = "parallel-brick"
-    input_scaling: str = "tanh-halfpi"
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
-        if self.q_depth < 1:
-            raise ValueError("q_depth must be >= 1")
-        if self.entanglement != "parallel-brick":
-            raise ValueError(f"unsupported entanglement scheme {self.entanglement!r}")
-        if self.input_scaling != "tanh-halfpi":
-            raise ValueError(f"unsupported input scaling {self.input_scaling!r}")
+        for name in ("num_qubits", "q_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.num_qubits > MAX_QUBITS:
+            raise CapacityError(
+                f"num_qubits must be <= {MAX_QUBITS}, got {self.num_qubits}")
 
     @property
     def num_layers(self) -> int:
@@ -47,22 +50,21 @@ class CircuitSpec:
     def num_params(self) -> int:
         return self.q_depth * self.num_qubits
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "num_qubits": self.num_qubits,
-            "q_depth": self.q_depth,
-            "entanglement": self.entanglement,
-            "input_scaling": self.input_scaling,
-        })
-
     @classmethod
     def from_dict(cls, doc: dict) -> "CircuitSpec":
-        return cls(
-            num_qubits=doc.get("num_qubits", 4),
-            q_depth=doc.get("q_depth", 1),
-            entanglement=doc.get("entanglement", "parallel-brick"),
-            input_scaling=doc.get("input_scaling", "tanh-halfpi"),
-        )
+        """The spec a config or checkpoint object describes. Unknown keys are
+        rejected; entanglement and input_scaling load when they hold the one
+        value the circuit has."""
+        if not isinstance(doc, dict):
+            raise TypeError(f"circuit must be an object, got {doc!r}")
+        sizes = dict(doc)
+        for key, value in _FIXED_KEYS.items():
+            if sizes.pop(key, value) != value:
+                raise ValueError(f"unsupported {key} {doc[key]!r}")
+        unknown = set(sizes) - {"num_qubits", "q_depth"}
+        if unknown:
+            raise ValueError(f"unknown circuit keys: {sorted(unknown)}")
+        return cls(**sizes)
 
 
 @dataclass(frozen=True)
@@ -123,22 +125,11 @@ def build_from_angles(spec: CircuitSpec, angles: np.ndarray,
     return gates
 
 
-def _encoded(spec: CircuitSpec, qinput: QNodeInput) -> np.ndarray:
-    if qinput.features.shape != (spec.num_qubits,):
-        raise ValueError(
-            f"expected {spec.num_qubits} features, got {qinput.features.shape}"
-        )
-    return encode_features(qinput.features)
-
-
-def build_circuit(spec: CircuitSpec, qinput: QNodeInput) -> list[Gate]:
-    """Full gate list for raw features (encoding applied internally)."""
-    return build_from_angles(spec, _encoded(spec, qinput), qinput.params)
-
-
 def evaluate_angles(spec: CircuitSpec, angles: np.ndarray, params: np.ndarray,
                     mode: Shots | None = None) -> np.ndarray:
-    """Per-qubit <Z> of the circuit at already-encoded angles."""
+    """Per-qubit <Z> of the circuit at already-encoded angles, simulated
+    gate by gate on one complex register: the reference evaluate_rows is
+    tested against."""
     state = StateVector(spec.num_qubits)
     apply_gates(state, build_from_angles(spec, angles, params))
     if mode is None:
@@ -147,12 +138,6 @@ def evaluate_angles(spec: CircuitSpec, angles: np.ndarray, params: np.ndarray,
     return np.array([
         estimate_z_from_counts(counts, qb) for qb in range(spec.num_qubits)
     ])
-
-
-def evaluate(spec: CircuitSpec, qinput: QNodeInput,
-             mode: Shots | None = None) -> np.ndarray:
-    """The circuit-as-function: raw features and params to Q expectations."""
-    return evaluate_angles(spec, _encoded(spec, qinput), qinput.params, mode)
 
 
 BLOCK_AMPS = 1 << 13  # amplitudes per kernel call, which bounds its memory
@@ -175,13 +160,3 @@ def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
                      for i in range(len(amps))]
             z.append(sampled_z_rows(amps, mode.shots, seeds))
     return np.vstack(z)
-
-
-def describe(spec: CircuitSpec, qinput: QNodeInput) -> str:
-    """Human-readable gate listing for inspection."""
-    lines = [f"circuit Q={spec.num_qubits} q_depth={spec.q_depth} "
-             f"({spec.entanglement}, {spec.input_scaling})"]
-    for i, gate in enumerate(build_circuit(spec, qinput)):
-        lines.append(f"  {i:3d}: {gate.describe()}")
-    lines.append(f"  measure <Z> on qubits 0..{spec.num_qubits - 1}")
-    return "\n".join(lines)

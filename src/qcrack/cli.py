@@ -11,31 +11,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
-from .autodiff import (CallLedger, GradMethod, jacobian, ledger_predict,
-                       ledger_reconcile)
+from .autodiff import (BACKPROP, FINITE_DIFF, PARAM_SHIFT, CallLedger,
+                       GradMethod, jacobian, ledger_predict, ledger_reconcile)
 from .backends import BackendProfile, estimate_runtime, load_profile
 from .circuit import CircuitSpec, QNodeInput, Shots
+from .data import write_atomic
 from .errors import ConfigError, ReconciliationError
 from .model import (EpochMetrics, HybridModel, evaluate_test,
                     load_checkpoint, save_checkpoint, train)
 
-
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.rename(path)
-
-
 # ---------------------------------------------------------------------------
 # Run configuration
 
-_METHODS = ("backprop", "finite-diff", "param-shift")
 _SOURCES = ("synthetic", "dir", "features")
 
 
@@ -43,7 +36,6 @@ _SOURCES = ("synthetic", "dir", "features")
 class RunConfig:
     circuit: CircuitSpec
     method: GradMethod
-    method_name: str
     epochs: int
     seed: int
     shots: int | None
@@ -53,8 +45,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "circuit": json.loads(self.circuit.to_json()),
-            "method": self.method_name,
+            "circuit": asdict(self.circuit),
+            "method": self.method.kind,
             "fd_delta": self.method.fd_delta,
             "fd_variant": self.method.fd_variant,
             "epochs": self.epochs,
@@ -64,6 +56,15 @@ class RunConfig:
             "data": self.data,
             "out_dir": str(self.out_dir),
         }
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON true and false load as bools."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_int(value)
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -79,48 +80,51 @@ def parse_run_config(doc: dict) -> RunConfig:
         circuit = CircuitSpec.from_dict(doc.get("circuit", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"circuit: {exc}") from exc
-    method_name = doc.get("method", "backprop")
-    if method_name not in _METHODS:
-        raise ConfigError(f"method must be one of {_METHODS}")
+    fd_delta = doc.get("fd_delta", 1e-4)
+    if not _is_number(fd_delta):
+        raise ConfigError("fd_delta must be a number")
     try:
-        method = GradMethod.parse(method_name,
-                                  fd_delta=doc.get("fd_delta", 1e-4),
+        method = GradMethod.parse(doc.get("method", BACKPROP),
+                                  fd_delta=fd_delta,
                                   fd_variant=doc.get("fd_variant", "forward"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     epochs = doc.get("epochs", 1)
-    if not isinstance(epochs, int) or epochs < 0:
+    if not _is_int(epochs) or epochs < 0:
         raise ConfigError("epochs must be a nonnegative integer")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     shots = doc.get("shots")
-    if shots is not None and (not isinstance(shots, int) or shots < 1):
+    if shots is not None and (not _is_int(shots) or shots < 1):
         raise ConfigError("shots must be null or a positive integer")
-    if shots is not None and method_name == "backprop":
+    if shots is not None and method.kind == BACKPROP:
         raise ConfigError("backprop is not available in shots mode")
-    ratios = tuple(doc.get("split", (0.7, 0.15, 0.15)))
-    if len(ratios) != 3 or any(r < 0 for r in ratios) \
+    ratios = doc.get("split", (0.7, 0.15, 0.15))
+    if not isinstance(ratios, (list, tuple)) or len(ratios) != 3 \
+            or not all(_is_number(r) and 0 <= r <= 1 for r in ratios) \
             or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError("split must be three nonnegative ratios summing to 1")
+        raise ConfigError("split must be three ratios in [0, 1] summing to 1")
     data = doc.get("data", {"source": "synthetic", "n_crack": 50, "n_clean": 50})
     if not isinstance(data, dict) or data.get("source") not in _SOURCES:
         raise ConfigError(f"data.source must be one of {_SOURCES}")
     if data["source"] == "synthetic":
-        for key in ("n_crack", "n_clean"):
-            if not isinstance(data.get(key), int) or data[key] < 0:
+        for key in ("n_crack", "n_clean", "gen_seed"):
+            value = data.get(key, 0 if key == "gen_seed" else None)
+            if not _is_int(value) or value < 0:
                 raise ConfigError(f"data.{key} must be a nonnegative integer")
     elif data["source"] == "dir":
         for key in ("path", "manifest"):
             if not isinstance(data.get(key), str):
                 raise ConfigError(f"data.{key} must be a path string")
-    else:
-        if not isinstance(data.get("path"), str):
-            raise ConfigError("data.path must be a path string")
-    out_dir = Path(doc.get("out_dir", "runs/run"))
-    return RunConfig(circuit=circuit, method=method, method_name=method_name,
-                     epochs=epochs, seed=seed, shots=shots, ratios=ratios,
-                     data=data, out_dir=out_dir)
+    elif not isinstance(data.get("path"), str):
+        raise ConfigError("data.path must be a path string")
+    out_dir = doc.get("out_dir", "runs/run")
+    if not isinstance(out_dir, str):
+        raise ConfigError("out_dir must be a path string")
+    return RunConfig(circuit=circuit, method=method, epochs=epochs, seed=seed,
+                     shots=shots, ratios=tuple(ratios), data=data,
+                     out_dir=Path(out_dir))
 
 
 def _load_samples(data: dict) -> list:
@@ -162,25 +166,25 @@ def cmd_train(args) -> int:
         model, metrics, ledger = train(model, train_set, val_set, cfg.epochs,
                                        cfg.method, cfg.seed, mode)
     except ReconciliationError as exc:
-        _write_atomic(out / "report.json", json.dumps(
+        write_atomic(out / "report.json", json.dumps(
             {"config": cfg.to_dict(), "reconcile": exc.report}, indent=2))
         raise
     report = evaluate_test(model, test_set, mode) if test_set else None
     wall_s = time.perf_counter() - t0
 
-    _write_atomic(out / "run_config.json", json.dumps(cfg.to_dict(), indent=2))
-    _write_atomic(out / "split.json",
-                  data_mod.split_record((train_set, val_set, test_set), split_cfg))
+    write_atomic(out / "run_config.json", json.dumps(cfg.to_dict(), indent=2))
+    write_atomic(out / "split.json",
+                 data_mod.split_record((train_set, val_set, test_set), split_cfg))
     rows = [EpochMetrics.CSV_HEADER] + [m.csv_row() for m in metrics]
-    _write_atomic(out / "metrics.csv", "\n".join(rows) + "\n")
-    save_checkpoint(out / "checkpoint.json", model, None, cfg.seed)
+    write_atomic(out / "metrics.csv", "\n".join(rows) + "\n")
+    save_checkpoint(out / "checkpoint.json", model, cfg.seed)
 
     predicted = cfg.epochs * ledger_predict(
         len(train_set), len(val_set), cfg.circuit.num_layers,
         cfg.circuit.num_qubits, cfg.method)
     doc_out = {
         "config": cfg.to_dict(),
-        "ledger": ledger.to_dict(method=cfg.method_name, predicted=predicted),
+        "ledger": ledger.to_dict(method=cfg.method.kind, predicted=predicted),
         "reconcile": ledger_reconcile(ledger, predicted),
         "wall_seconds": wall_s,
         "splits": {"train": len(train_set), "val": len(val_set),
@@ -188,12 +192,12 @@ def cmd_train(args) -> int:
     }
     if report is not None:
         doc_out.update(report.to_dict())
-    _write_atomic(out / "report.json", json.dumps(doc_out, indent=2))
+    write_atomic(out / "report.json", json.dumps(doc_out, indent=2))
 
     if args.json:
         print(json.dumps(doc_out))
     else:
-        print(f"trained {cfg.epochs} epochs with {cfg.method_name} "
+        print(f"trained {cfg.epochs} epochs with {cfg.method.kind} "
               f"(T={len(train_set)}, V={len(val_set)}, "
               f"L={cfg.circuit.num_layers}, Q={cfg.circuit.num_qubits})")
         if report is not None:
@@ -205,7 +209,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _, seed = load_checkpoint(args.checkpoint)
+    model, seed = load_checkpoint(args.checkpoint)
     samples = _load_samples(_eval_data_source(args))
     if samples and len(samples[0].values) != model.pre.in_dim:
         print(f"error: checkpoint expects {model.pre.in_dim} features, "
@@ -218,7 +222,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out / "eval_report.json", json.dumps(doc, indent=2))
+        write_atomic(out / "eval_report.json", json.dumps(doc, indent=2))
     if args.json:
         print(json.dumps(doc))
     else:
@@ -288,7 +292,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_ledger(args) -> int:
     rows = [(name, ledger_predict(args.T, args.V, args.L, args.Q,
                                   GradMethod.parse(name)))
-            for name in _METHODS]
+            for name in (BACKPROP, FINITE_DIFF, PARAM_SHIFT)]
     if args.json:
         print(json.dumps({
             "T": args.T, "V": args.V, "L": args.L, "Q": args.Q,

@@ -62,7 +62,15 @@ class FeatureSample:
 
 
 # ---------------------------------------------------------------------------
-# PGM I/O
+# File I/O
+
+def write_atomic(path, text: str) -> None:
+    """Write via a temp file and a rename: readers see old or new, not part."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.rename(path)
+
 
 def write_pgm(path, pixels: np.ndarray) -> None:
     with open(path, "wb") as fh:

@@ -10,16 +10,23 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import (CallLedger, GradMethod, ledger_predict,
                        ledger_reconcile, value_and_jacobian)
 from .circuit import (CircuitSpec, QNodeInput, Shots, derive_seed,
-                      encode_features, evaluate_angles, evaluate_rows)
-from .data import LABELS
-from .errors import DataError
+                      encode_features, evaluate_rows)
+# the single-register path stays bound here for tracers that wrap it
+from .circuit import evaluate_angles  # noqa: F401
+from .data import LABELS, write_atomic
+from .errors import DataError, FormatError
+
+ADAM_LR = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def label_index(label: str) -> int:
@@ -90,13 +97,9 @@ class HybridModel:
             )
         return encode_features(self.pre.apply(features))
 
-    def forward(self, features: np.ndarray, ledger: CallLedger | None = None,
-                mode: Shots | None = None) -> np.ndarray:
-        z = evaluate_angles(self.qspec, self._angles(features), self.qparams,
-                            mode)
-        if ledger is not None:
-            ledger.add_forward(1)
-        return self.post.apply(z)
+    def forward(self, features: np.ndarray) -> np.ndarray:
+        """(2,) logits of one feature vector: one exact forward_rows row."""
+        return self.forward_rows([features])[0]
 
     def forward_rows(self, features, ledger: CallLedger | None = None,
                      mode: Shots | None = None, keys: tuple = ()
@@ -179,21 +182,15 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
 
 @dataclass
 class OptimizerState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], **hyper
-                   ) -> "OptimizerState":
+    def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            **hyper,
         )
 
 
@@ -204,11 +201,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     t = state.step
     for k, p in params.items():
         g = grads[k]
-        state.m[k] = state.beta1 * state.m[k] + (1 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1 - state.beta2) * g * g
-        m_hat = state.m[k] / (1 - state.beta1 ** t)
-        v_hat = state.v[k] / (1 - state.beta2 ** t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[k] = ADAM_BETA1 * state.m[k] + (1 - ADAM_BETA1) * g
+        state.v[k] = ADAM_BETA2 * state.v[k] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[k] / (1 - ADAM_BETA1 ** t)
+        v_hat = state.v[k] / (1 - ADAM_BETA2 ** t)
+        p -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -331,46 +328,34 @@ def evaluate_test(model: HybridModel, test_set, mode: Shots | None = None,
     )
 
 
-def save_checkpoint(path, model: HybridModel, opt: OptimizerState | None,
-                    seed: int) -> None:
-    doc = {
+def save_checkpoint(path, model: HybridModel, seed: int) -> None:
+    """Write the model and its seed as JSON, atomically."""
+    write_atomic(path, json.dumps({
         "seed": seed,
-        "circuit": json.loads(model.qspec.to_json()),
+        "circuit": asdict(model.qspec),
         "pre": {"weights": model.pre.weights.tolist(),
                 "bias": model.pre.bias.tolist()},
         "qparams": model.qparams.tolist(),
         "post": {"weights": model.post.weights.tolist(),
                  "bias": model.post.bias.tolist()},
-    }
-    if opt is not None:
-        doc["optimizer"] = {
-            "lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
-            "eps": opt.eps, "step": opt.step,
-            "m": {k: v.tolist() for k, v in opt.m.items()},
-            "v": {k: v.tolist() for k, v in opt.v.items()},
-        }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    }))
 
 
-def load_checkpoint(path) -> tuple[HybridModel, OptimizerState | None, int]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    model = HybridModel(
-        pre=LinearLayer(np.array(doc["pre"]["weights"]),
-                        np.array(doc["pre"]["bias"])),
-        qspec=CircuitSpec.from_dict(doc["circuit"]),
-        qparams=np.array(doc["qparams"]),
-        post=LinearLayer(np.array(doc["post"]["weights"]),
-                         np.array(doc["post"]["bias"])),
-    )
-    opt = None
-    if "optimizer" in doc:
-        o = doc["optimizer"]
-        opt = OptimizerState(
-            lr=o["lr"], beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"],
-            step=o["step"],
-            m={k: np.array(v) for k, v in o["m"].items()},
-            v={k: np.array(v) for k, v in o["v"].items()},
+def load_checkpoint(path) -> tuple[HybridModel, int]:
+    """The model and seed save_checkpoint wrote. Keys of older files that
+    the model no longer uses, such as "optimizer", are ignored."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        model = HybridModel(
+            pre=LinearLayer(np.array(doc["pre"]["weights"], dtype=float),
+                            np.array(doc["pre"]["bias"], dtype=float)),
+            qspec=CircuitSpec.from_dict(doc["circuit"]),
+            qparams=np.array(doc["qparams"], dtype=float),
+            post=LinearLayer(np.array(doc["post"]["weights"], dtype=float),
+                             np.array(doc["post"]["bias"], dtype=float)),
         )
-    return model, opt, doc["seed"]
+        return model, doc["seed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint "
+                          f"({type(exc).__name__}: {exc})") from exc

@@ -7,7 +7,8 @@
     each Ry uses `apply_gate`'s elementwise formula, so the amplitudes
     equal the real parts of the register `apply_gate` evolves, bit for bit.
   * `StateVector` + `apply_gate` simulate one complex register gate by
-    gate. They are the single-register API and the kernel's reference.
+    gate. No runtime path calls them: they are the single-register API
+    and the reference the kernel is tested against.
 
 Conventions:
   * Little-endian basis ordering: qubit 0 is the least-significant bit of
@@ -21,9 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
-import cmath
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -67,15 +66,6 @@ class Gate:
         c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
 
-    def describe(self) -> str:
-        if self.kind == "cx":
-            return f"CX(control={self.control}, target={self.target})"
-        if self.kind == "cry":
-            return f"CRy({self.theta:.6g}, control={self.control}, target={self.target})"
-        if self.kind == "ry":
-            return f"Ry({self.theta:.6g}, qubit={self.target})"
-        return f"{self.kind.upper()}(qubit={self.target})"
-
 
 class StateVector:
     """Mutable register of `num_qubits` qubits holding 2^Q complex amplitudes."""
@@ -98,29 +88,8 @@ class StateVector:
                 raise ValueError(f"expected {dim} amplitudes, got {amps.shape}")
         self.amps = amps
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy())
-
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "num_qubits": self.num_qubits,
-            "amps": [[a.real, a.imag] for a in self.amps],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "StateVector":
-        doc = json.loads(text)
-        amps = np.array([complex(re, im) for re, im in doc["amps"]])
-        return cls(doc["num_qubits"], amps)
-
-    def __repr__(self):
-        return f"StateVector(num_qubits={self.num_qubits}, amps={self.amps!r})"
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -203,8 +172,7 @@ def sample(state: StateVector, shots: int, seed: int) -> ShotCounts:
     """Draw `shots` basis-state measurements with an explicit PCG64 seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(np.abs(state.amps) ** 2, 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     raw = rng.multinomial(shots, probs)
@@ -232,28 +200,6 @@ def estimate_z_from_counts(counts: ShotCounts, qubit: int) -> float:
         else:
             n1 += c
     return (n0 - n1) / counts.shots
-
-
-@dataclass(frozen=True)
-class BlochCoords:
-    theta: float  # [0, pi]
-    phi: float    # [0, 2*pi)
-
-
-def bloch_coords(state: StateVector) -> BlochCoords:
-    """Bloch-sphere angles of a single-qubit state, global phase removed."""
-    if state.num_qubits != 1:
-        raise ValueError("bloch_coords requires a single-qubit state")
-    alpha, beta = state.amps
-    theta = 2.0 * math.acos(min(1.0, abs(alpha)))
-    if math.sin(theta / 2) < 1e-12 or abs(alpha) < 1e-12 or abs(beta) < 1e-12:
-        # at either pole the relative phase is undefined; pin it to 0
-        phi = 0.0
-    else:
-        # canonicalize so alpha is real and nonnegative
-        beta = beta * (abs(alpha) / alpha)
-        phi = cmath.phase(beta) % (2.0 * math.pi)
-    return BlochCoords(theta=theta, phi=phi)
 
 
 # ---------------------------------------------------------------------------

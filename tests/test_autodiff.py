@@ -5,7 +5,8 @@ import pytest
 
 from qcrack.autodiff import (CallLedger, GradMethod, jacobian, ledger_predict,
                              ledger_reconcile, value_and_jacobian)
-from qcrack.circuit import CircuitSpec, QNodeInput, Shots
+from qcrack.circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
+                            evaluate_angles)
 from qcrack.errors import CapabilityError, ReconciliationError
 
 BP = GradMethod.backprop()
@@ -32,6 +33,9 @@ class TestGradMethod:
             GradMethod.finite_diff(0.0)
         with pytest.raises(ValueError):
             GradMethod.finite_diff(-1e-3)
+        for bad in (float("nan"), math.inf):
+            with pytest.raises(ValueError):
+                GradMethod.finite_diff(bad)
         with pytest.raises(ValueError):
             GradMethod("nope")
         with pytest.raises(ValueError):
@@ -69,12 +73,12 @@ class TestJacobianValues:
             assert abs(jac.d_params[0, 0]) <= 1e-4
 
     def test_value_matches_evaluate(self):
-        from qcrack.circuit import evaluate
         rng = np.random.default_rng(3)
         spec, qin = random_case(rng, q=3, d=2)
+        ref = evaluate_angles(spec, encode_features(qin.features), qin.params)
         for method in (BP, PS, FD_FWD):
             z, _ = value_and_jacobian(spec, qin, method, CallLedger())
-            assert np.allclose(z, evaluate(spec, qin), atol=1e-12)
+            assert np.allclose(z, ref, atol=1e-12)
 
     def test_parity_over_random_circuits(self):
         rng = np.random.default_rng(1234)

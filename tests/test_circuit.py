@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,16 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import apply_dense
-from qcrack.circuit import (CircuitSpec, QNodeInput, Shots, build_circuit,
-                            derive_seed, describe, encode_features, evaluate,
-                            evaluate_angles, evaluate_rows)
-from qcrack.errors import DataError
+from qcrack.circuit import (CircuitSpec, Shots, build_from_angles,
+                            derive_seed, encode_features, evaluate_angles,
+                            evaluate_rows)
+from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import zero_state
-
-
-def raw_for_angle(angle):
-    """Raw feature that encodes to the given angle (inverse of the scaler)."""
-    return np.arctanh(np.asarray(angle) / (math.pi / 2))
 
 
 class TestEncodeFeatures:
@@ -46,7 +42,7 @@ class TestEncodeFeatures:
 class TestBuildCircuit:
     def test_q4_depth1_structure(self):
         spec = CircuitSpec(num_qubits=4, q_depth=1)
-        gates = build_circuit(spec, QNodeInput(np.zeros(4), np.zeros(4)))
+        gates = build_from_angles(spec, np.zeros(4), np.zeros(4))
         assert len(gates) == 15  # 4 H + 4 enc Ry + 3 CX + 4 var Ry
         kinds = [g.kind for g in gates]
         assert kinds == ["h"] * 4 + ["ry"] * 4 + ["cx"] * 3 + ["ry"] * 4
@@ -56,18 +52,18 @@ class TestBuildCircuit:
 
     def test_single_qubit(self):
         spec = CircuitSpec(num_qubits=1, q_depth=1)
-        gates = build_circuit(spec, QNodeInput(np.zeros(1), np.zeros(1)))
+        gates = build_from_angles(spec, np.zeros(1), np.zeros(1))
         assert [g.kind for g in gates] == ["h", "ry", "ry"]
 
     def test_q4_depth6_count(self):
         spec = CircuitSpec(num_qubits=4, q_depth=6)
-        gates = build_circuit(spec, QNodeInput(np.zeros(4), np.zeros(24)))
+        gates = build_from_angles(spec, np.zeros(4), np.zeros(24))
         assert len(gates) == 50  # 8 + 6 * 7
 
     @pytest.mark.parametrize("q,d", [(1, 1), (2, 3), (3, 2), (4, 6), (5, 2)])
     def test_gate_census(self, q, d):
         spec = CircuitSpec(num_qubits=q, q_depth=d)
-        gates = build_circuit(spec, QNodeInput(np.zeros(q), np.zeros(q * d)))
+        gates = build_from_angles(spec, np.zeros(q), np.zeros(q * d))
         kinds = [g.kind for g in gates]
         assert kinds.count("h") == q
         assert kinds.count("ry") == q + d * q
@@ -77,20 +73,19 @@ class TestBuildCircuit:
     def test_length_mismatch(self):
         spec = CircuitSpec(num_qubits=4, q_depth=1)
         with pytest.raises(ValueError):
-            build_circuit(spec, QNodeInput(np.zeros(3), np.zeros(4)))
+            build_from_angles(spec, np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
-            build_circuit(spec, QNodeInput(np.zeros(4), np.zeros(5)))
+            build_from_angles(spec, np.zeros(4), np.zeros(5))
 
 
 class TestEvaluate:
     def test_all_zero_inputs(self):
         spec = CircuitSpec(num_qubits=4, q_depth=1)
-        qin = QNodeInput(np.zeros(4), np.zeros(4))
-        z = evaluate(spec, qin)
+        z = evaluate_angles(spec, np.zeros(4), np.zeros(4))
         assert np.max(np.abs(z)) <= 1e-12
         # cross-check against the dense oracle
-        state = zero_state(4)
-        expected = apply_dense(state.amps, build_circuit(spec, qin), 4)
+        gates = build_from_angles(spec, np.zeros(4), np.zeros(4))
+        expected = apply_dense(zero_state(4).amps, gates, 4)
         probs = np.abs(expected) ** 2
         for q in range(4):
             bits = (np.arange(16) >> q) & 1
@@ -98,20 +93,23 @@ class TestEvaluate:
 
     def test_single_qubit_closed_form_point(self):
         spec = CircuitSpec(num_qubits=1, q_depth=1)
-        z = evaluate(spec, QNodeInput(raw_for_angle([0.2]), [0.3]))
+        z = evaluate_angles(spec, [0.2], [0.3])
         assert z[0] == pytest.approx(-math.sin(0.5), abs=1e-12)
 
     def test_single_qubit_extremum(self):
         spec = CircuitSpec(num_qubits=1, q_depth=1)
-        z = evaluate(spec, QNodeInput(np.zeros(1), [-math.pi / 2]))
+        z = evaluate_angles(spec, np.zeros(1), [-math.pi / 2])
         assert z[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_qubit_closed_form_grid(self):
         spec = CircuitSpec(num_qubits=1, q_depth=1)
-        for a in np.linspace(-1.5, 1.5, 10):
-            for t in np.linspace(-3, 3, 10):
-                z = evaluate(spec, QNodeInput(raw_for_angle([a]), [t]))
-                assert z[0] == pytest.approx(-math.sin(a + t), abs=1e-12)
+        grid = [(a, t) for a in np.linspace(-1.5, 1.5, 10)
+                for t in np.linspace(-3, 3, 10)]
+        rows = evaluate_rows(spec, np.array(grid))
+        for (a, t), row in zip(grid, rows):
+            z = evaluate_angles(spec, [a], [t])
+            assert z[0] == pytest.approx(-math.sin(a + t), abs=1e-12)
+            assert row[0] == pytest.approx(-math.sin(a + t), abs=1e-12)
 
     @given(seed=st.integers(0, 10 ** 6), q=st.integers(1, 4),
            d=st.integers(1, 3))
@@ -119,24 +117,28 @@ class TestEvaluate:
     def test_output_bounds(self, seed, q, d):
         rng = np.random.default_rng(seed)
         spec = CircuitSpec(num_qubits=q, q_depth=d)
-        z = evaluate(spec, QNodeInput(rng.normal(size=q),
-                                      rng.uniform(-np.pi, np.pi, q * d)))
+        z = evaluate_angles(spec, encode_features(rng.normal(size=q)),
+                            rng.uniform(-np.pi, np.pi, q * d))
         assert np.all(np.abs(z) <= 1.0 + 1e-12)
 
     def test_exact_mode_deterministic(self):
         spec = CircuitSpec(num_qubits=3, q_depth=2)
         rng = np.random.default_rng(1)
-        qin = QNodeInput(rng.normal(size=3), rng.normal(size=6))
-        z1, z2 = evaluate(spec, qin), evaluate(spec, qin)
+        angles, params = rng.normal(size=3), rng.normal(size=6)
+        z1 = evaluate_angles(spec, angles, params)
+        z2 = evaluate_angles(spec, angles, params)
         assert np.array_equal(z1, z2)
 
     def test_shots_mode_deterministic_and_close(self):
         spec = CircuitSpec(num_qubits=2, q_depth=1)
-        qin = QNodeInput(np.array([0.3, -0.4]), np.array([0.5, 0.1]))
+        angles = encode_features([0.3, -0.4])
+        params = np.array([0.5, 0.1])
         mode = Shots(shots=200_000, seed=9)
-        z1, z2 = evaluate(spec, qin, mode), evaluate(spec, qin, mode)
+        z1 = evaluate_angles(spec, angles, params, mode)
+        z2 = evaluate_angles(spec, angles, params, mode)
         assert np.array_equal(z1, z2)
-        assert np.max(np.abs(z1 - evaluate(spec, qin))) <= 0.02
+        assert np.max(np.abs(z1 - evaluate_angles(spec, angles, params))) \
+            <= 0.02
 
 
 class TestEvaluateRows:
@@ -166,11 +168,13 @@ class TestEvaluateRows:
 class TestSpecSerialization:
     def test_json_round_trip(self):
         spec = CircuitSpec(num_qubits=4, q_depth=2)
-        doc = json.loads(spec.to_json())
-        assert doc == {"num_qubits": 4, "q_depth": 2,
-                       "entanglement": "parallel-brick",
-                       "input_scaling": "tanh-halfpi"}
+        doc = json.loads(json.dumps(asdict(spec)))
+        assert doc == {"num_qubits": 4, "q_depth": 2}
         assert CircuitSpec.from_dict(doc) == spec
+        # files written before the circuit was fixed carry two more keys
+        old = dict(doc, entanglement="parallel-brick",
+                   input_scaling="tanh-halfpi")
+        assert CircuitSpec.from_dict(old) == spec
 
     def test_layer_and_param_counts(self):
         spec = CircuitSpec(num_qubits=4, q_depth=3)
@@ -182,12 +186,15 @@ class TestSpecSerialization:
             CircuitSpec(num_qubits=0)
         with pytest.raises(ValueError):
             CircuitSpec(q_depth=0)
-        with pytest.raises(ValueError):
-            CircuitSpec(entanglement="all-to-all")
-
-    def test_describe_lists_gates(self):
-        spec = CircuitSpec(num_qubits=2, q_depth=1)
-        text = describe(spec, QNodeInput(np.zeros(2), np.zeros(2)))
-        assert "CX(control=0, target=1)" in text
-        assert text.count("Ry") == 4
-        assert "measure <Z>" in text
+        with pytest.raises(CapacityError):
+            CircuitSpec(num_qubits=21)
+        for bad in (4.5, True, "4"):
+            with pytest.raises(ValueError):
+                CircuitSpec(num_qubits=bad)
+        for doc in ({"entanglement": "all-to-all"},
+                    {"input_scaling": "identity"},
+                    {"num_qbits": 5}):
+            with pytest.raises(ValueError):
+                CircuitSpec.from_dict(doc)
+        with pytest.raises(TypeError):
+            CircuitSpec.from_dict([4, 1])

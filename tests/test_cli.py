@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrack.cli import main, parse_run_config
 from qcrack.errors import ConfigError
@@ -252,12 +255,47 @@ class TestEvalCommand:
                            "--features", str(bad))
         assert code == 2 and "features" in err
 
+    def test_malformed_checkpoint_names_file(self, capsys, tmp_path,
+                                             feature_csv):
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps({"seed": 1}))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(bad),
+                           "--features", str(feature_csv))
+        assert code == 1
+        assert str(bad) in err and "malformed checkpoint" in err
+
+
+# A valid config whose every key, and every key of its circuit and data
+# objects, takes part in validation.
+VALID_CONFIG = {
+    "circuit": {"num_qubits": 2, "q_depth": 1},
+    "method": "finite-diff",
+    "fd_delta": 1e-3,
+    "fd_variant": "central",
+    "epochs": 1,
+    "seed": 3,
+    "shots": 16,
+    "split": [0.5, 0.25, 0.25],
+    "data": {"source": "synthetic", "n_crack": 2, "n_clean": 2,
+             "gen_seed": 4},
+    "out_dir": "runs/x",
+}
+CONFIG_PATHS = ([(k,) for k in VALID_CONFIG]
+                + [("circuit", k) for k in VALID_CONFIG["circuit"]]
+                + [("data", k) for k in VALID_CONFIG["data"]])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+
 
 class TestRunConfigValidation:
     def test_defaults(self):
         cfg = parse_run_config({})
-        assert cfg.method_name == "backprop"
+        assert cfg.method.kind == "backprop"
         assert cfg.ratios == (0.7, 0.15, 0.15)
+        assert parse_run_config(VALID_CONFIG).shots == 16
 
     @pytest.mark.parametrize("doc", [
         {"epochs": -1},
@@ -267,7 +305,36 @@ class TestRunConfigValidation:
         {"data": {"source": "dir"}},
         {"shots": 0, "method": "param-shift"},
         {"circuit": {"num_qubits": 0}},
+        {"fd_delta": "x"},
+        {"method": "finite-diff", "fd_delta": "x"},
+        {"method": "finite-diff", "fd_delta": float("nan")},
+        {"circuit": {"num_qubits": 4.5}},
+        {"split": 5},
+        {"split": [0.7, 0.15, "a"]},
+        {"epochs": True},
+        {"seed": True},
+        {"shots": True, "method": "param-shift"},
+        {"data": {"source": "synthetic", "n_crack": True, "n_clean": 1}},
+        {"data": {"source": "synthetic", "n_crack": 1, "n_clean": 1,
+                  "gen_seed": "x"}},
+        {"circuit": {"num_qubits": 40}},
+        {"circuit": {"num_qbits": 5}},
+        {"circuit": {"entanglement": "all-to-all"}},
+        {"out_dir": 5},
     ])
     def test_rejects(self, doc):
         with pytest.raises(ConfigError):
             parse_run_config(doc)
+
+    @given(path=st.sampled_from(CONFIG_PATHS), value=json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_is_accepted_or_a_config_error(self, path, value):
+        doc = copy.deepcopy(VALID_CONFIG)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        try:
+            parse_run_config(doc)
+        except ConfigError:
+            pass

@@ -1,12 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcrack import model as model_mod
 from qcrack.autodiff import CallLedger, GradMethod, ledger_predict
-from qcrack.circuit import CircuitSpec, Shots
+from qcrack.circuit import CircuitSpec, Shots, encode_features, evaluate_angles
 from qcrack.data import FeatureSample
-from qcrack.errors import DataError, ReconciliationError
+from qcrack.errors import DataError, FormatError, ReconciliationError
 from qcrack.model import (HybridModel, LinearLayer, OptimizerState, adam_step,
                           cross_entropy, evaluate_test, load_checkpoint,
                           loss_and_grad, save_checkpoint, train)
@@ -45,9 +48,8 @@ class TestForward:
         model.post.weights[:] = np.eye(2)
         model.post.bias[:] = 0.0
         x = np.array([0.1, -0.2, 0.4, 0.3])
-        from qcrack.circuit import QNodeInput, evaluate
-        z = evaluate(model.qspec,
-                     QNodeInput(model.pre.apply(x), model.qparams))
+        z = evaluate_angles(model.qspec, encode_features(model.pre.apply(x)),
+                            model.qparams)
         assert np.allclose(model.forward(x), z)
 
     def test_batch_equals_independent_calls(self):
@@ -152,9 +154,8 @@ class TestAdam:
         assert prev - params["w"][0] == pytest.approx(1e-3, rel=1e-3)
 
     def test_defaults(self):
-        state = OptimizerState.for_params({"w": np.zeros(1)})
-        assert (state.lr, state.beta1, state.beta2, state.eps) == \
-            (1e-3, 0.9, 0.999, 1e-8)
+        assert (model_mod.ADAM_LR, model_mod.ADAM_BETA1, model_mod.ADAM_BETA2,
+                model_mod.ADAM_EPS) == (1e-3, 0.9, 0.999, 1e-8)
 
 
 class TestTrain:
@@ -290,24 +291,77 @@ class TestEvaluateTest:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = tiny_model(n_features=5, q=3, d=2, seed=25)
-        opt = OptimizerState.for_params(model.parameters())
-        opt.step = 7
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model, opt, seed=33)
-        loaded, opt2, seed = load_checkpoint(path)
+        save_checkpoint(path, model, seed=33)
+        loaded, seed = load_checkpoint(path)
         assert seed == 33
         assert loaded.qspec == model.qspec
         for k, v in model.parameters().items():
-            assert np.allclose(loaded.parameters()[k], v)
-        assert opt2.step == 7
+            assert np.array_equal(loaded.parameters()[k], v)
 
     def test_prediction_survives_round_trip(self, tmp_path):
         model = tiny_model(seed=26)
         x = np.array([0.2, 0.4, -0.3, 0.1])
         before = model.forward(x)
-        save_checkpoint(tmp_path / "m.json", model, None, 0)
-        loaded, _, _ = load_checkpoint(tmp_path / "m.json")
-        assert np.allclose(loaded.forward(x), before, atol=1e-15)
+        save_checkpoint(tmp_path / "m.json", model, 0)
+        loaded, _ = load_checkpoint(tmp_path / "m.json")
+        assert np.array_equal(loaded.forward(x), before)
+
+    def test_loads_older_format(self, tmp_path):
+        # files written while checkpoints held Adam state and the circuit
+        # spec had entanglement and input_scaling fields
+        model = tiny_model(n_features=3, q=2, d=1, seed=27)
+        moments = {k: np.zeros_like(v).tolist()
+                   for k, v in model.parameters().items()}
+        doc = {
+            "seed": 8,
+            "circuit": {"num_qubits": 2, "q_depth": 1,
+                        "entanglement": "parallel-brick",
+                        "input_scaling": "tanh-halfpi"},
+            "pre": {"weights": model.pre.weights.tolist(),
+                    "bias": model.pre.bias.tolist()},
+            "qparams": model.qparams.tolist(),
+            "post": {"weights": model.post.weights.tolist(),
+                     "bias": model.post.bias.tolist()},
+            "optimizer": {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999,
+                          "eps": 1e-8, "step": 4, "m": moments,
+                          "v": moments},
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        loaded, seed = load_checkpoint(path)
+        assert seed == 8 and loaded.qspec == model.qspec
+        for k, v in model.parameters().items():
+            assert np.array_equal(loaded.parameters()[k], v)
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": 1}',
+        "[1, 2]",
+        '{"seed": 1, "circuit": {"num_qbits": 2}, "pre": {}, "qparams": [],'
+        ' "post": {}}',
+        "not json",
+    ])
+    def test_malformed_raises_format_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="bad.json"):
+            load_checkpoint(path)
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path,
+                                                       monkeypatch):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tiny_model(seed=28), seed=1)
+        before = path.read_bytes()
+
+        def cut_short(self, text, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(text[:len(text) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(OSError):
+            save_checkpoint(path, tiny_model(seed=29), seed=2)
+        assert path.read_bytes() == before
 
 
 class TestLinearLayer:

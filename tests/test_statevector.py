@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,10 +10,10 @@ from conftest import random_gate_sequence
 from qcrack.circuit import CircuitSpec, build_from_angles
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import (Gate, ShotCounts, StateVector, apply_gate,
-                                apply_gates, bloch_coords, brick_pairs,
-                                brick_permutation, estimate_z_from_counts,
-                                evolve, sample, sampled_z_rows, z_expectation,
-                                z_rows, zero_state)
+                                apply_gates, brick_pairs, brick_permutation,
+                                estimate_z_from_counts, evolve, sample,
+                                sampled_z_rows, z_expectation, z_rows,
+                                zero_state)
 
 
 def plus_state():
@@ -188,63 +187,6 @@ class TestEstimateZFromCounts:
     def test_empty_counts(self):
         with pytest.raises(DataError):
             estimate_z_from_counts(ShotCounts(shots=5, counts={}), 0)
-
-
-class TestBlochCoords:
-    def test_north_pole(self):
-        c = bloch_coords(zero_state(1))
-        assert c.theta == 0.0 and c.phi == 0.0
-
-    def test_plus_state(self):
-        c = bloch_coords(plus_state())
-        assert c.theta == pytest.approx(math.pi / 2, abs=1e-12)
-        assert c.phi == 0.0
-
-    def test_i_state(self):
-        s = StateVector(1, np.array([1, 1j]) / math.sqrt(2))
-        c = bloch_coords(s)
-        assert c.theta == pytest.approx(math.pi / 2, abs=1e-10)
-        assert c.phi == pytest.approx(math.pi / 2, abs=1e-10)
-
-    def test_multi_qubit_rejected(self):
-        with pytest.raises(ValueError):
-            bloch_coords(zero_state(2))
-
-    @given(xi=st.floats(0, 2 * math.pi), seed=st.integers(0, 10 ** 6))
-    @settings(max_examples=60)
-    def test_global_phase_invariance(self, xi, seed):
-        rng = np.random.default_rng(seed)
-        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        amps /= np.linalg.norm(amps)
-        c1 = bloch_coords(StateVector(1, amps))
-        c2 = bloch_coords(StateVector(1, np.exp(1j * xi) * amps))
-        assert c1.theta == pytest.approx(c2.theta, abs=1e-10)
-        assert c1.phi == pytest.approx(c2.phi, abs=1e-8) or \
-            abs(abs(c1.phi - c2.phi) - 2 * math.pi) <= 1e-8
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-            amps /= np.linalg.norm(amps)
-            c = bloch_coords(StateVector(1, amps))
-            rebuilt = np.array([
-                math.cos(c.theta / 2),
-                np.exp(1j * c.phi) * math.sin(c.theta / 2),
-            ])
-            # match up to global phase
-            overlap = abs(np.vdot(rebuilt, amps))
-            assert overlap == pytest.approx(1.0, abs=1e-10)
-
-
-class TestJsonDump:
-    def test_round_trip(self):
-        s = apply_gates(zero_state(2), [Gate("h", 0), Gate("ry", 1, theta=0.4)])
-        doc = json.loads(s.to_json())
-        assert doc["num_qubits"] == 2
-        assert len(doc["amps"]) == 4
-        s2 = StateVector.from_json(s.to_json())
-        assert np.allclose(s.amps, s2.amps)
 
 
 class TestKernel:
