@@ -41,7 +41,7 @@ def main() -> int:
           f" {'seconds':>8}")
 
     for name in args.methods:
-        method = GradMethod.parse(name)
+        method = GradMethod(name)
         model = HybridModel.init(len(tr[0].values), spec,
                                  seed=args.seed + 2)
         t0 = time.perf_counter()

@@ -36,8 +36,10 @@ class GradMethod:
     def __post_init__(self):
         if self.kind not in (BACKPROP, FINITE_DIFF, PARAM_SHIFT):
             raise ValueError(f"unknown gradient method {self.kind!r}")
-        if not 0 < self.fd_delta < math.inf:
-            raise ValueError("fd_delta must be positive and finite")
+        d = self.fd_delta
+        if isinstance(d, bool) or not isinstance(d, (int, float)) \
+                or not 0 < d < math.inf:
+            raise ValueError(f"fd_delta must be positive and finite, got {d!r}")
         if self.fd_variant not in ("forward", "central"):
             raise ValueError(f"unknown finite-difference variant {self.fd_variant!r}")
 
@@ -54,20 +56,15 @@ class GradMethod:
     def param_shift(cls) -> "GradMethod":
         return cls(PARAM_SHIFT)
 
-    @classmethod
-    def parse(cls, name: str, fd_delta: float = 1e-4,
-              fd_variant: str = "forward") -> "GradMethod":
-        if name == FINITE_DIFF:
-            return cls.finite_diff(fd_delta, fd_variant)
-        return cls(name)
-
 
 class CallLedger:
-    """Counter of quantum-circuit executions."""
+    """Counter of quantum-circuit executions. model.train() keeps the
+    ledger_reconcile report it checked in `reconcile`."""
 
     def __init__(self):
         self.n_forward = 0
         self.n_backward = 0
+        self.reconcile: dict | None = None
 
     def add_forward(self, n: int = 1):
         self.n_forward += n

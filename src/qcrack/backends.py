@@ -14,19 +14,24 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .errors import FormatError
+
 
 @dataclass(frozen=True)
 class BackendProfile:
     name: str
     clops: int  # circuit layer operations per second
-    qv: int
     overhead_factor: float = 1.0
 
     def __post_init__(self):
-        if self.clops <= 0:
-            raise ValueError("clops must be positive")
-        if self.overhead_factor < 1.0:
-            raise ValueError("overhead_factor must be >= 1")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        c, o = self.clops, self.overhead_factor
+        if isinstance(c, bool) or not isinstance(c, int) or c <= 0:
+            raise ValueError(f"clops must be a positive integer, got {c!r}")
+        if isinstance(o, bool) or not isinstance(o, (int, float)) \
+                or not o >= 1.0:
+            raise ValueError(f"overhead_factor must be >= 1, got {o!r}")
 
 
 def builtin_profiles() -> list[str]:
@@ -34,29 +39,24 @@ def builtin_profiles() -> list[str]:
     return sorted(p.name[:-5] for p in pkg.iterdir() if p.name.endswith(".json"))
 
 
-def load_profile(name_or_path: str,
-                 overhead_factor: float | None = None) -> BackendProfile:
-    """Load a shipped profile by name, or any profile JSON by path."""
+def load_profile(name_or_path: str) -> BackendProfile:
+    """Load a shipped profile by name, or any profile JSON by path. Keys the
+    model does not use, such as "qv", are ignored."""
     path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        res = resources.files("qcrack") / "profiles" / f"{name_or_path}.json"
-        if not res.is_file():
+    if not (path.suffix == ".json" and path.exists()):
+        path = resources.files("qcrack") / "profiles" / f"{name_or_path}.json"
+        if not path.is_file():
             raise FileNotFoundError(
                 f"no backend profile {name_or_path!r}; "
                 f"built-ins: {', '.join(builtin_profiles())}"
             )
-        doc = json.loads(res.read_text())
-    return BackendProfile(
-        name=doc["name"],
-        clops=int(doc["clops"]),
-        qv=int(doc.get("qv", 0)),
-        overhead_factor=float(
-            overhead_factor if overhead_factor is not None
-            else doc.get("overhead_factor", 1.0)
-        ),
-    )
+    try:
+        doc = json.loads(path.read_text())
+        return BackendProfile(name=doc["name"], clops=doc["clops"],
+                              overhead_factor=doc.get("overhead_factor", 1.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed backend profile "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 def estimate_runtime(profile: BackendProfile, n_calls: int, shots: int,

@@ -74,8 +74,12 @@ class Shots:
     seed: int
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        for name, low in (("shots", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {value!r}")
 
 
 def derive_seed(base: int, *keys: int) -> int:

@@ -1,8 +1,11 @@
 """Command-line surface: gen, train, eval, gradcheck, ledger, estimate.
 
+Flags and config documents become the package's value types (CircuitSpec,
+GradMethod, Shots, SplitConfig, BackendProfile), which check their own
+fields; a value one rejects is a config error, raised before any work.
 Exit codes: 0 success, 1 runtime failure, 2 config/usage error. Every run
-artifact is written atomically (temp file + rename) together with the exact
-configuration that produced it.
+artifact is written atomically (temp file + rename) together with the
+exact configuration that produced it.
 """
 
 from __future__ import annotations
@@ -11,17 +14,18 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
 from .autodiff import (BACKPROP, FINITE_DIFF, PARAM_SHIFT, CallLedger,
-                       GradMethod, jacobian, ledger_predict, ledger_reconcile)
+                       GradMethod, jacobian, ledger_predict)
 from .backends import BackendProfile, estimate_runtime, load_profile
 from .circuit import CircuitSpec, QNodeInput, Shots
-from .data import write_atomic
+from .data import SplitConfig, write_atomic
 from .errors import ConfigError, ReconciliationError
 from .model import (EpochMetrics, HybridModel, evaluate_test,
                     load_checkpoint, save_checkpoint, train)
@@ -38,8 +42,8 @@ class RunConfig:
     method: GradMethod
     epochs: int
     seed: int
-    shots: int | None
-    ratios: tuple[float, float, float]
+    mode: Shots | None
+    split: SplitConfig
     data: dict
     out_dir: Path
 
@@ -51,11 +55,20 @@ class RunConfig:
             "fd_variant": self.method.fd_variant,
             "epochs": self.epochs,
             "seed": self.seed,
-            "shots": self.shots,
-            "split": list(self.ratios),
+            "shots": self.mode.shots if self.mode else None,
+            "split": list(self.split.ratios),
             "data": self.data,
             "out_dir": str(self.out_dir),
         }
+
+
+@contextmanager
+def _usage(prefix: str = ""):
+    """Report a value type rejecting user input as a ConfigError (exit 2)."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _is_int(value) -> bool:
@@ -63,12 +76,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, float) or _is_int(value)
-
-
 def parse_run_config(doc: dict) -> RunConfig:
-    """Validate a train config document before any work starts."""
+    """Validate a train config document before any work starts and fill in
+    its defaults, so that to_dict() records every value the run uses."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     known = {"circuit", "method", "fd_delta", "fd_variant", "epochs", "seed",
@@ -76,42 +86,28 @@ def parse_run_config(doc: dict) -> RunConfig:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
+    epochs, seed = doc.get("epochs", 1), doc.get("seed", 0)
+    for key, value in (("epochs", epochs), ("seed", seed)):
+        if not _is_int(value) or value < 0:
+            raise ConfigError(f"{key} must be a nonnegative integer")
+    with _usage("circuit: "):
         circuit = CircuitSpec.from_dict(doc.get("circuit", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"circuit: {exc}") from exc
-    fd_delta = doc.get("fd_delta", 1e-4)
-    if not _is_number(fd_delta):
-        raise ConfigError("fd_delta must be a number")
-    try:
-        method = GradMethod.parse(doc.get("method", BACKPROP),
-                                  fd_delta=fd_delta,
-                                  fd_variant=doc.get("fd_variant", "forward"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    epochs = doc.get("epochs", 1)
-    if not _is_int(epochs) or epochs < 0:
-        raise ConfigError("epochs must be a nonnegative integer")
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    shots = doc.get("shots")
-    if shots is not None and (not _is_int(shots) or shots < 1):
-        raise ConfigError("shots must be null or a positive integer")
-    if shots is not None and method.kind == BACKPROP:
+    with _usage():
+        method = GradMethod(doc.get("method", BACKPROP),
+                            doc.get("fd_delta", 1e-4),
+                            doc.get("fd_variant", "forward"))
+        shots = doc.get("shots")
+        mode = None if shots is None else Shots(shots, seed)
+        split = SplitConfig(doc.get("split", (0.7, 0.15, 0.15)), seed)
+    if mode is not None and method.kind == BACKPROP:
         raise ConfigError("backprop is not available in shots mode")
-    ratios = doc.get("split", (0.7, 0.15, 0.15))
-    if not isinstance(ratios, (list, tuple)) or len(ratios) != 3 \
-            or not all(_is_number(r) and 0 <= r <= 1 for r in ratios) \
-            or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError("split must be three ratios in [0, 1] summing to 1")
     data = doc.get("data", {"source": "synthetic", "n_crack": 50, "n_clean": 50})
     if not isinstance(data, dict) or data.get("source") not in _SOURCES:
         raise ConfigError(f"data.source must be one of {_SOURCES}")
     if data["source"] == "synthetic":
+        data = {**data, "gen_seed": data.get("gen_seed", data_mod.GEN_SEED)}
         for key in ("n_crack", "n_clean", "gen_seed"):
-            value = data.get(key, 0 if key == "gen_seed" else None)
-            if not _is_int(value) or value < 0:
+            if not _is_int(data.get(key)) or data[key] < 0:
                 raise ConfigError(f"data.{key} must be a nonnegative integer")
     elif data["source"] == "dir":
         for key in ("path", "manifest"):
@@ -123,15 +119,14 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a path string")
     return RunConfig(circuit=circuit, method=method, epochs=epochs, seed=seed,
-                     shots=shots, ratios=tuple(ratios), data=data,
-                     out_dir=Path(out_dir))
+                     mode=mode, split=split, data=data, out_dir=Path(out_dir))
 
 
 def _load_samples(data: dict) -> list:
     source = data["source"]
     if source == "synthetic":
         patches = data_mod.generate_synthetic(
-            data["n_crack"], data["n_clean"], data.get("gen_seed", 1234))
+            data["n_crack"], data["n_clean"], data["gen_seed"])
         return [data_mod.extract_features(p) for p in patches]
     if source == "dir":
         patches = data_mod.load_dataset(data["path"], data["manifest"])
@@ -151,41 +146,37 @@ def cmd_train(args) -> int:
     cfg = parse_run_config(doc)
 
     samples = _load_samples(cfg.data)
-    split_cfg = data_mod.SplitConfig(ratios=cfg.ratios, seed=cfg.seed)
-    train_set, val_set, test_set = data_mod.split(samples, split_cfg)
+    train_set, val_set, test_set = data_mod.split(samples, cfg.split)
     n_features = len(samples[0].values) if samples else 0
     if not train_set:
         raise ConfigError("training split is empty")
 
     model = HybridModel.init(n_features, cfg.circuit, cfg.seed)
-    mode = Shots(cfg.shots, cfg.seed) if cfg.shots else None
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
         model, metrics, ledger = train(model, train_set, val_set, cfg.epochs,
-                                       cfg.method, cfg.seed, mode)
+                                       cfg.method, cfg.seed, cfg.mode)
     except ReconciliationError as exc:
         write_atomic(out / "report.json", json.dumps(
             {"config": cfg.to_dict(), "reconcile": exc.report}, indent=2))
         raise
-    report = evaluate_test(model, test_set, mode) if test_set else None
+    report = evaluate_test(model, test_set, cfg.mode) if test_set else None
     wall_s = time.perf_counter() - t0
 
     write_atomic(out / "run_config.json", json.dumps(cfg.to_dict(), indent=2))
     write_atomic(out / "split.json",
-                 data_mod.split_record((train_set, val_set, test_set), split_cfg))
+                 data_mod.split_record((train_set, val_set, test_set), cfg.split))
     rows = [EpochMetrics.CSV_HEADER] + [m.csv_row() for m in metrics]
     write_atomic(out / "metrics.csv", "\n".join(rows) + "\n")
     save_checkpoint(out / "checkpoint.json", model, cfg.seed)
 
-    predicted = cfg.epochs * ledger_predict(
-        len(train_set), len(val_set), cfg.circuit.num_layers,
-        cfg.circuit.num_qubits, cfg.method)
+    predicted = ledger.reconcile["predicted"]
     doc_out = {
         "config": cfg.to_dict(),
         "ledger": ledger.to_dict(method=cfg.method.kind, predicted=predicted),
-        "reconcile": ledger_reconcile(ledger, predicted),
+        "reconcile": ledger.reconcile,
         "wall_seconds": wall_s,
         "splits": {"train": len(train_set), "val": len(val_set),
                    "test": len(test_set)},
@@ -210,13 +201,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, seed = load_checkpoint(args.checkpoint)
+    with _usage():
+        mode = None if args.shots is None else Shots(
+            args.shots, seed if args.seed is None else args.seed)
     samples = _load_samples(_eval_data_source(args))
     if samples and len(samples[0].values) != model.pre.in_dim:
         print(f"error: checkpoint expects {model.pre.in_dim} features, "
               f"data has {len(samples[0].values)}", file=sys.stderr)
         return 2
-    mode = Shots(args.shots, args.seed if args.seed is not None else seed) \
-        if args.shots else None
     report = evaluate_test(model, samples, mode)
     doc = report.to_dict()
     if args.out:
@@ -246,11 +238,12 @@ def _eval_data_source(args) -> dict:
 
 
 def cmd_gradcheck(args) -> int:
-    spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
+    with _usage():
+        spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
+        fd = GradMethod(FINITE_DIFF, args.fd_delta, args.fd_variant)
     rng = np.random.default_rng(args.seed if args.seed is not None else 7)
     max_shift = 0.0
     max_fd = 0.0
-    fd = GradMethod.finite_diff(args.fd_delta, args.fd_variant)
     for _ in range(args.trials):
         qinput = QNodeInput(
             features=rng.normal(0.0, 1.0, spec.num_qubits),
@@ -290,9 +283,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    rows = [(name, ledger_predict(args.T, args.V, args.L, args.Q,
-                                  GradMethod.parse(name)))
-            for name in (BACKPROP, FINITE_DIFF, PARAM_SHIFT)]
+    with _usage():
+        rows = [(name, ledger_predict(args.T, args.V, args.L, args.Q,
+                                      GradMethod(name)))
+                for name in (BACKPROP, FINITE_DIFF, PARAM_SHIFT)]
     if args.json:
         print(json.dumps({
             "T": args.T, "V": args.V, "L": args.L, "Q": args.Q,
@@ -307,17 +301,15 @@ def cmd_ledger(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.clops is not None:
-        profile = BackendProfile(
-            name=args.profile or "custom", clops=args.clops, qv=0,
-            overhead_factor=args.overhead if args.overhead is not None else 1.0,
-        )
-    else:
-        if not args.profile:
-            raise ConfigError("estimate needs --profile or --clops")
-        profile = load_profile(args.profile, overhead_factor=args.overhead)
-    device_s, wall_s = estimate_runtime(profile, args.n_calls, args.shots,
-                                        args.layers)
+    if args.clops is None and not args.profile:
+        raise ConfigError("estimate needs --profile or --clops")
+    with _usage():
+        profile = (load_profile(args.profile) if args.clops is None
+                   else BackendProfile(args.profile or "custom", args.clops))
+        if args.overhead is not None:
+            profile = replace(profile, overhead_factor=args.overhead)
+        device_s, wall_s = estimate_runtime(profile, args.n_calls, args.shots,
+                                            args.layers)
     doc = {
         "profile": profile.name,
         "clops": profile.clops,
@@ -341,9 +333,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    patches = data_mod.generate_synthetic(args.n_crack, args.n_clean,
-                                          args.seed if args.seed is not None
-                                          else 1234)
+    with _usage():
+        patches = data_mod.generate_synthetic(args.n_crack, args.n_clean,
+                                              args.seed)
     manifest = data_mod.write_patches(patches, args.out)
     print(f"wrote {len(patches)} patches and {manifest}")
     return 0
@@ -362,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate synthetic crack/no-crack patches")
     p.add_argument("n_crack", type=int)
     p.add_argument("n_clean", type=int)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=data_mod.GEN_SEED)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 

@@ -22,6 +22,7 @@ from .errors import DataError, FormatError
 PATCH_SIZE = 224
 LABELS = ("no_crack", "crack")
 FEATURE_DIM = 512
+GEN_SEED = 1234  # default seed of generate_synthetic for `gen` and configs
 
 _CELLS = 8                      # 8x8 grid of pooling cells
 _CELL = PATCH_SIZE // _CELLS    # 28 px per cell
@@ -269,10 +270,13 @@ class SplitConfig:
     seed: int
 
     def __post_init__(self):
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("ratios must be nonnegative")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1, got {self.ratios}")
+        r = self.ratios
+        if not isinstance(r, (list, tuple)) or len(r) != 3 or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                and 0 <= x <= 1 for x in r) or abs(sum(r) - 1.0) > 1e-9:
+            raise ValueError("split must be three ratios in [0, 1] summing "
+                             f"to 1, got {r!r}")
+        object.__setattr__(self, "ratios", tuple(r))
 
 
 def _largest_remainder(n: int, ratios) -> list[int]:

@@ -231,7 +231,8 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
           ) -> tuple[HybridModel, list[EpochMetrics], CallLedger]:
     """Seeded shuffling, per-sample Adam steps, one validation forward pass
     per image per epoch. Afterwards the ledger must equal epochs times
-    ledger_predict, or ReconciliationError is raised."""
+    ledger_predict, or ReconciliationError is raised; the returned ledger
+    holds the reconcile report in `reconcile`."""
     if epochs and not train_set:
         raise ValueError("training split is empty")
     ledger = CallLedger()
@@ -270,7 +271,7 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
             n_calls=ledger.n_calls - calls_before,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         ))
-    ledger_reconcile(ledger, epochs * ledger_predict(
+    ledger.reconcile = ledger_reconcile(ledger, epochs * ledger_predict(
         len(train_set), len(val_set), model.qspec.num_layers,
         model.qspec.num_qubits, method))
     return model, metrics, ledger
@@ -355,7 +356,10 @@ def load_checkpoint(path) -> tuple[HybridModel, int]:
             post=LinearLayer(np.array(doc["post"]["weights"], dtype=float),
                              np.array(doc["post"]["bias"], dtype=float)),
         )
-        return model, doc["seed"]
+        seed = doc["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise TypeError(f"seed must be a nonnegative integer, got {seed!r}")
+        return model, seed
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint "
                           f"({type(exc).__name__}: {exc})") from exc

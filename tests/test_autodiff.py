@@ -40,14 +40,22 @@ class TestGradMethod:
             GradMethod("nope")
         with pytest.raises(ValueError):
             GradMethod("finite-diff", fd_variant="sideways")
+        # every kind checks its fd_* fields, as a run config records them
+        for bad in (True, "x", None, [1e-3], -1):
+            with pytest.raises(ValueError):
+                GradMethod("param-shift", fd_delta=bad)
+        with pytest.raises(ValueError):
+            GradMethod("backprop", fd_variant="sideways")
 
     def test_parse(self):
-        assert GradMethod.parse("backprop").kind == "backprop"
-        assert GradMethod.parse("param-shift") == GradMethod("param-shift")
+        # the constructor is the one parser: it keeps fd_* for every kind
+        assert not hasattr(GradMethod, "parse")
+        assert GradMethod("param-shift") == GradMethod.param_shift()
         with pytest.raises(TypeError):  # the shift rule has no knobs
             GradMethod("param-shift", shift=1.0)
-        m = GradMethod.parse("finite-diff", fd_delta=1e-3, fd_variant="central")
-        assert m.fd_delta == 1e-3 and m.fd_variant == "central"
+        for kind in ("backprop", "finite-diff", "param-shift"):
+            m = GradMethod(kind, 1e-3, "central")
+            assert (m.kind, m.fd_delta, m.fd_variant) == (kind, 1e-3, "central")
 
 
 class TestJacobianValues:

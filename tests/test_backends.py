@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from qcrack.backends import (BackendProfile, builtin_profiles,
                              estimate_runtime, load_profile)
+from qcrack.errors import FormatError
 
 
 class TestProfiles:
@@ -20,26 +22,49 @@ class TestProfiles:
     def test_custom_profile_file(self, tmp_path):
         path = tmp_path / "mine.json"
         path.write_text(json.dumps({"name": "mine", "clops": 500, "qv": 4}))
-        p = load_profile(str(path))
-        assert p.name == "mine" and p.clops == 500
+        p = load_profile(str(path))  # "qv" is read by nothing, and ignored
+        assert p == BackendProfile("mine", 500)
 
     def test_unknown_profile(self):
         with pytest.raises(FileNotFoundError, match="ibmq_kolkata"):
             load_profile("ibmq_nowhere")
 
     def test_overhead_override(self):
-        assert load_profile("ibmq_lima", overhead_factor=3.0).overhead_factor == 3.0
+        # one path for an override: replace() on the loaded profile
+        p = replace(load_profile("ibmq_lima"), overhead_factor=3.0)
+        assert p.overhead_factor == 3.0 and p.clops == 2700
+        with pytest.raises(ValueError):
+            replace(load_profile("ibmq_lima"), overhead_factor=0.5)
 
     def test_validation(self):
+        for clops in (0, -5, 2.5, True, "100"):
+            with pytest.raises(ValueError):
+                BackendProfile("x", clops=clops)
+        for factor in (0.5, float("nan"), True, "2"):
+            with pytest.raises(ValueError):
+                BackendProfile("x", clops=100, overhead_factor=factor)
         with pytest.raises(ValueError):
-            BackendProfile("x", clops=0, qv=1)
-        with pytest.raises(ValueError):
-            BackendProfile("x", clops=100, qv=1, overhead_factor=0.5)
+            BackendProfile(None, clops=100)
+
+    @pytest.mark.parametrize("text", [
+        '{"clops": 500}',
+        '{"name": "mine"}',
+        '{"name": "mine", "clops": "fast"}',
+        '{"name": "mine", "clops": 500.5}',
+        '{"name": "mine", "clops": 500, "overhead_factor": 0.5}',
+        '["mine", 500]',
+        '{not json',
+    ])
+    def test_malformed_file_names_it(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="bad.json"):
+            load_profile(str(path))
 
 
 class TestEstimate:
     def test_ten_epoch_paramshift_run(self):
-        profile = BackendProfile("ehningen-ish", clops=1900, qv=64)
+        profile = BackendProfile("ehningen-ish", clops=1900)
         device_s, wall_s = estimate_runtime(profile, n_calls=8820,
                                             shots=1000, layers=2)
         assert device_s == pytest.approx(8820 * 1000 * 2 / 1900)
@@ -47,18 +72,18 @@ class TestEstimate:
         assert wall_s == device_s
 
     def test_huge_clops_limit(self):
-        profile = BackendProfile("fast", clops=10 ** 9, qv=1)
+        profile = BackendProfile("fast", clops=10 ** 9)
         device_s, _ = estimate_runtime(profile, 8820, 1000, 2)
         assert device_s < 0.02
 
     def test_overhead_scales_wall_clock(self):
-        profile = BackendProfile("queued", clops=1900, qv=64,
+        profile = BackendProfile("queued", clops=1900,
                                  overhead_factor=6.5)
         device_s, wall_s = estimate_runtime(profile, 8820, 1000, 2)
         assert wall_s == pytest.approx(6.5 * device_s)
         assert 50_000 <= wall_s <= 70_000  # same order as ~17 h wall clock
 
     def test_positive_inputs_required(self):
-        profile = BackendProfile("x", clops=100, qv=1)
+        profile = BackendProfile("x", clops=100)
         with pytest.raises(ValueError):
             estimate_runtime(profile, 0, 1000, 2)

@@ -165,6 +165,15 @@ class TestEvaluateRows:
             evaluate_rows(CircuitSpec(num_qubits=2, q_depth=1), np.zeros((3, 3)))
 
 
+class TestShots:
+    def test_validation(self):
+        assert Shots(1, 0) == Shots(shots=1, seed=0)
+        for shots, seed in ((0, 1), (True, 1), (2.5, 1), ("8", 1), (None, 1),
+                            (8, -1), (8, True), (8, "x"), (8, None)):
+            with pytest.raises(ValueError):
+                Shots(shots, seed)
+
+
 class TestSpecSerialization:
     def test_json_round_trip(self):
         spec = CircuitSpec(num_qubits=4, q_depth=2)

@@ -1,13 +1,16 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcrack.circuit import CircuitSpec, Shots
 from qcrack.cli import main, parse_run_config
 from qcrack.errors import ConfigError
+from qcrack.model import HybridModel, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -84,6 +87,26 @@ class TestEstimateCommand:
     def test_missing_profile_is_config_error(self, capsys):
         code, _, err = run(capsys, "estimate", "--n-calls", "10")
         assert code == 2 and "config error" in err
+
+    @pytest.mark.parametrize("doc", [{"clops": 500},
+                                     {"name": "p", "clops": "fast"}])
+    def test_malformed_profile_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "estimate", "--profile", str(path),
+                           "--n-calls", "10")
+        assert code == 2
+        assert str(path) in err and "malformed backend profile" in err
+
+    def test_overhead_overrides_profile_file(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "p", "clops": 100,
+                                    "overhead_factor": 2.0}))
+        code, out, _ = run(capsys, "estimate", "--profile", str(path),
+                           "--overhead", "3", "--n-calls", "10", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["profile"] == "p"
+        assert doc["overhead_factor"] == 3.0 and doc["clops"] == 100
 
 
 class TestGenCommand:
@@ -265,6 +288,35 @@ class TestEvalCommand:
         assert str(bad) in err and "malformed checkpoint" in err
 
 
+class TestFlagValidation:
+    """A flag value the package rejects is a usage error: exit 2, before
+    any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--qubits", "0", "--trials", "1"],
+        ["gradcheck", "--fd-delta", "-1", "--trials", "1"],
+        ["estimate", "--profile", "ibmq_lima", "--n-calls", "0"],
+        ["estimate", "--clops", "0", "--n-calls", "10"],
+        ["estimate", "--profile", "ibmq_lima", "--overhead", "0.5",
+         "--n-calls", "10"],
+        ["ledger", "-1", "184", "2", "4"],
+        ["gen", "-1", "2", "--out", "{tmp}/patches"],
+        ["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
+         "{features}", "--shots", "0", "--out", "{tmp}/patches"],
+        ["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
+         "{features}", "--shots", "8", "--seed", "-1", "--out",
+         "{tmp}/patches"],
+    ])
+    def test_rejected_flag_exits_2(self, capsys, tmp_path, feature_csv,
+                                   argv):
+        save_checkpoint(tmp_path / "ckpt.json",
+                        HybridModel.init(8, CircuitSpec(2, 1), 0), seed=0)
+        argv = [a.format(tmp=tmp_path, features=feature_csv) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "config error" in err
+        assert out == "" and not (tmp_path / "patches").exists()
+
+
 # A valid config whose every key, and every key of its circuit and data
 # objects, takes part in validation.
 VALID_CONFIG = {
@@ -294,8 +346,12 @@ class TestRunConfigValidation:
     def test_defaults(self):
         cfg = parse_run_config({})
         assert cfg.method.kind == "backprop"
-        assert cfg.ratios == (0.7, 0.15, 0.15)
-        assert parse_run_config(VALID_CONFIG).shots == 16
+        assert cfg.split.ratios == (0.7, 0.15, 0.15) and cfg.split.seed == 0
+        assert cfg.mode is None
+        # the generator seed the run uses is the one its record shows
+        assert cfg.to_dict()["data"] == {"source": "synthetic", "n_crack": 50,
+                                         "n_clean": 50, "gen_seed": 1234}
+        assert parse_run_config(VALID_CONFIG).mode == Shots(16, 3)
 
     @pytest.mark.parametrize("doc", [
         {"epochs": -1},
@@ -321,6 +377,13 @@ class TestRunConfigValidation:
         {"circuit": {"num_qbits": 5}},
         {"circuit": {"entanglement": "all-to-all"}},
         {"out_dir": 5},
+        {"split": [float("nan"), 0.5, 0.5]},
+        {"split": True},
+        {"split": "abc"},
+        {"split": [1.0, 0.0]},
+        {"fd_delta": True},
+        {"method": "backprop", "fd_variant": "sideways"},
+        {"method": "param-shift", "fd_delta": -1},
     ])
     def test_rejects(self, doc):
         with pytest.raises(ConfigError):
@@ -335,6 +398,15 @@ class TestRunConfigValidation:
             parent = parent[key]
         parent[path[-1]] = value
         try:
-            parse_run_config(doc)
+            cfg = parse_run_config(doc)
         except ConfigError:
-            pass
+            return
+        out = cfg.to_dict()
+        assert parse_run_config(out) == cfg
+        for key, value in doc.items():  # every value set is recorded as set
+            if key in ("circuit", "data"):
+                assert {k: out[key][k] for k in value} == value
+            elif key == "out_dir":
+                assert Path(out[key]) == Path(value)
+            else:
+                assert out[key] == value

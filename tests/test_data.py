@@ -78,6 +78,12 @@ class TestSplit:
             SplitConfig((0.5, 0.5, 0.5), 1)
         with pytest.raises(ValueError):
             SplitConfig((-0.1, 0.6, 0.5), 1)
+        for bad in ((float("nan"), 0.5, 0.5), (True, 0, 0), (0.5, "0.5", 0),
+                    (0.5, 0.5), (0.5, 0.25, 0.25, 0.0), 5, None, (1.5, -0.5, 0)):
+            with pytest.raises(ValueError):
+                SplitConfig(bad, 1)
+        assert SplitConfig([0.5, 0.25, 0.25], 1) == \
+            SplitConfig((0.5, 0.25, 0.25), 1)
 
     def test_split_record(self):
         import json

@@ -288,6 +288,13 @@ class TestEvaluateTest:
         assert report.confusion == {"tp": 665, "fp": 460, "fn": 0, "tn": 0}
 
 
+# A well-formed checkpoint of a 1-feature, 1-qubit model with seed 1.
+VALID_ONE_QUBIT = (
+    '{"seed": 1, "circuit": {"num_qubits": 1, "q_depth": 1},'
+    ' "pre": {"weights": [[0.5]], "bias": [0.0]}, "qparams": [0.1],'
+    ' "post": {"weights": [[1.0], [-1.0]], "bias": [0.0, 0.0]}}')
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = tiny_model(n_features=5, q=3, d=2, seed=25)
@@ -334,12 +341,19 @@ class TestCheckpoint:
         for k, v in model.parameters().items():
             assert np.array_equal(loaded.parameters()[k], v)
 
+    def test_one_qubit_fixture_loads(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(VALID_ONE_QUBIT)
+        assert load_checkpoint(path)[1] == 1
+
     @pytest.mark.parametrize("text", [
         '{"seed": 1}',
         "[1, 2]",
         '{"seed": 1, "circuit": {"num_qbits": 2}, "pre": {}, "qparams": [],'
         ' "post": {}}',
         "not json",
+        *(VALID_ONE_QUBIT.replace('"seed": 1', f'"seed": {seed}')
+          for seed in ('"x"', "null", "true", "-1", "1.5")),
     ])
     def test_malformed_raises_format_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
