@@ -20,7 +20,7 @@ from .circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
 # the single-register path stays bound here for tracers that wrap it
 from .circuit import build_from_angles, evaluate_angles  # noqa: F401
 from .errors import CapabilityError, ReconciliationError
-from .statevector import brick_permutation, evolve, ry_pi, z_rows, z_signs
+from .statevector import adjoint
 
 BACKPROP = "backprop"
 FINITE_DIFF = "finite-diff"
@@ -48,9 +48,9 @@ class GradMethod:
         return cls(BACKPROP)
 
     @classmethod
-    def finite_diff(cls, delta: float = 1e-4,
-                    variant: str = "forward") -> "GradMethod":
-        return cls(FINITE_DIFF, fd_delta=delta, fd_variant=variant)
+    def finite_diff(cls, *fd) -> "GradMethod":
+        """Finite differences; fd is (fd_delta, fd_variant) or a prefix."""
+        return cls(FINITE_DIFF, *fd)
 
     @classmethod
     def param_shift(cls) -> "GradMethod":
@@ -85,29 +85,6 @@ class CallLedger:
 class QNodeJacobian:
     d_params: np.ndarray  # (Q outputs, q_depth*Q params)
     d_inputs: np.ndarray  # (Q outputs, Q encoding angles)
-
-
-def _adjoint(spec: CircuitSpec, all_angles: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode pass: (z, d), one column of d per shiftable angle. The
-    ket and its Q co-states Z_k|psi> sweep backwards as Q+1 rows, one kernel
-    call per gate. dRy(t)/dt = Ry(pi)Ry(t)/2, so the column of an Ry is
-    <co-state|Ry(pi)|ket> just after the gate (the 1/2 cancels the 2 of
-    2*Re<bra|dU|ket>)."""
-    q = spec.num_qubits
-    ket = evolve(q, spec.q_depth, all_angles[None])
-    rows = np.vstack([ket, ket * z_signs(q)])
-    inverse = np.argsort(brick_permutation(q))
-    deriv = np.empty((q, all_angles.size))
-    for j in reversed(range(all_angles.size)):
-        qubit = j % q
-        rotated = ry_pi(rows, qubit)
-        deriv[:, j] = rows[1:] @ rotated[0]
-        half = all_angles[j] / 2  # undo Ry(theta): rows <- Ry(-theta) rows
-        rows = math.cos(half) * rows - math.sin(half) * rotated
-        if qubit == 0 and j >= q:
-            rows = rows[:, inverse]
-    return z_rows(ket)[0], deriv
 
 
 def _shift_rows(method: GradMethod, n: int) -> np.ndarray:
@@ -146,7 +123,7 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
                 "backprop needs exact statevector access; not available in shots mode"
             )
         ledger.add_forward(1)
-        z, deriv = _adjoint(spec, all_angles)
+        z, deriv = adjoint(q, spec.q_depth, all_angles)
         return z, QNodeJacobian(d_params=deriv[:, q:], d_inputs=deriv[:, :q])
 
     f = evaluate_rows(spec, all_angles + _shift_rows(method, all_angles.size),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, check_int
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,8 @@ class BackendProfile:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        c, o = self.clops, self.overhead_factor
-        if isinstance(c, bool) or not isinstance(c, int) or c <= 0:
-            raise ValueError(f"clops must be a positive integer, got {c!r}")
+        check_int("clops", self.clops, 1)
+        o = self.overhead_factor
         if isinstance(o, bool) or not isinstance(o, (int, float)) \
                 or not o >= 1.0:
             raise ValueError(f"overhead_factor must be >= 1, got {o!r}")

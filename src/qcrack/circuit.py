@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DataError
+from .data import derive_seed
+from .errors import CapacityError, DataError, check_int
 from .statevector import MAX_QUBITS, Gate, StateVector, apply_gates
 from .statevector import brick_pairs, estimate_z_from_counts, evolve, sample
 from .statevector import sampled_z_rows, z_expectations, z_rows
@@ -31,12 +32,8 @@ class CircuitSpec:
     q_depth: int = 1
 
     def __post_init__(self):
-        for name in ("num_qubits", "q_depth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_int("num_qubits", self.num_qubits, 1)
+        check_int("q_depth", self.q_depth, 1)
         if self.num_qubits > MAX_QUBITS:
             raise CapacityError(
                 f"num_qubits must be <= {MAX_QUBITS}, got {self.num_qubits}")
@@ -74,18 +71,8 @@ class Shots:
     seed: int
 
     def __post_init__(self):
-        for name, low in (("shots", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, "
-                                 f"got {value!r}")
-
-
-def derive_seed(base: int, *keys: int) -> int:
-    """An independent PCG64 seed for the stream `keys` under `base`."""
-    seq = np.random.SeedSequence(entropy=[int(base), *map(int, keys)])
-    return int(seq.generate_state(1)[0])
+        check_int("shots", self.shots, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -104,6 +91,11 @@ def encode_features(x: np.ndarray) -> np.ndarray:
     if np.any(np.isnan(x)):
         raise DataError("NaN in feature vector")
     return (math.pi / 2.0) * np.tanh(x)
+
+
+def encode_features_vjp(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times the derivative of encode_features at x, elementwise."""
+    return g * (math.pi / 2.0) * (1.0 - np.tanh(x) ** 2)
 
 
 def build_from_angles(spec: CircuitSpec, angles: np.ndarray,

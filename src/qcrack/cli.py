@@ -26,7 +26,7 @@ from .autodiff import (BACKPROP, FINITE_DIFF, PARAM_SHIFT, CallLedger,
 from .backends import BackendProfile, estimate_runtime, load_profile
 from .circuit import CircuitSpec, QNodeInput, Shots
 from .data import SplitConfig, write_atomic
-from .errors import ConfigError, ReconciliationError
+from .errors import ConfigError, ReconciliationError, check_int
 from .model import (EpochMetrics, HybridModel, evaluate_test,
                     load_checkpoint, save_checkpoint, train)
 
@@ -71,11 +71,6 @@ def _usage(prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool: JSON true and false load as bools."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate a train config document before any work starts and fill in
     its defaults, so that to_dict() records every value the run uses."""
@@ -87,15 +82,13 @@ def parse_run_config(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     epochs, seed = doc.get("epochs", 1), doc.get("seed", 0)
-    for key, value in (("epochs", epochs), ("seed", seed)):
-        if not _is_int(value) or value < 0:
-            raise ConfigError(f"{key} must be a nonnegative integer")
+    fd = {key: doc[key] for key in ("fd_delta", "fd_variant") if key in doc}
     with _usage("circuit: "):
         circuit = CircuitSpec.from_dict(doc.get("circuit", {}))
     with _usage():
-        method = GradMethod(doc.get("method", BACKPROP),
-                            doc.get("fd_delta", 1e-4),
-                            doc.get("fd_variant", "forward"))
+        check_int("epochs", epochs, 0)
+        check_int("seed", seed, 0)
+        method = GradMethod(doc.get("method", BACKPROP), **fd)
         shots = doc.get("shots")
         mode = None if shots is None else Shots(shots, seed)
         split = SplitConfig(doc.get("split", (0.7, 0.15, 0.15)), seed)
@@ -106,9 +99,9 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError(f"data.source must be one of {_SOURCES}")
     if data["source"] == "synthetic":
         data = {**data, "gen_seed": data.get("gen_seed", data_mod.GEN_SEED)}
-        for key in ("n_crack", "n_clean", "gen_seed"):
-            if not _is_int(data.get(key)) or data[key] < 0:
-                raise ConfigError(f"data.{key} must be a nonnegative integer")
+        with _usage("data."):
+            for key in ("n_crack", "n_clean", "gen_seed"):
+                check_int(key, data.get(key), 0)
     elif data["source"] == "dir":
         for key in ("path", "manifest"):
             if not isinstance(data.get(key), str):
@@ -239,6 +232,7 @@ def _eval_data_source(args) -> dict:
 
 def cmd_gradcheck(args) -> int:
     with _usage():
+        check_int("trials", args.trials, 1)
         spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
         fd = GradMethod(FINITE_DIFF, args.fd_delta, args.fd_variant)
     rng = np.random.default_rng(args.seed if args.seed is not None else 7)
@@ -304,8 +298,11 @@ def cmd_estimate(args) -> int:
     if args.clops is None and not args.profile:
         raise ConfigError("estimate needs --profile or --clops")
     with _usage():
-        profile = (load_profile(args.profile) if args.clops is None
-                   else BackendProfile(args.profile or "custom", args.clops))
+        try:
+            profile = (load_profile(args.profile) if args.clops is None else
+                       BackendProfile(args.profile or "custom", args.clops))
+        except FileNotFoundError as exc:  # an unknown name is a bad value
+            raise ValueError(str(exc)) from exc
         if args.overhead is not None:
             profile = replace(profile, overhead_factor=args.overhead)
         device_s, wall_s = estimate_runtime(profile, args.n_calls, args.shots,
@@ -383,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol-shift", type=float, default=1e-10)
     p.add_argument("--tol-fd", type=float, default=1e-3)
-    p.add_argument("--fd-delta", type=float, default=1e-4)
+    p.add_argument("--fd-delta", type=float, default=GradMethod.fd_delta)
     p.add_argument("--fd-variant", choices=("forward", "central"),
-                   default="forward")
+                   default=GradMethod.fd_variant)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gradcheck)

@@ -1,5 +1,6 @@
 """Patch ingestion, synthetic crack-patch generation, the built-in feature
-extractor, and deterministic stratified splitting.
+extractor, deterministic stratified splitting, and the package's one seed
+recipe (derive_rng, derive_seed) and one atomic writer (write_atomic).
 
 Patches are 224x224 8-bit grayscale, stored as binary PGM (P5, maxval 255).
 Synthetic generation derives one child RNG per patch from a single
@@ -9,6 +10,7 @@ SeedSequence, so any (counts, seed) pair is byte-reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -63,13 +65,25 @@ class FeatureSample:
 
 
 # ---------------------------------------------------------------------------
-# File I/O
+# Seed streams and file I/O
+
+def derive_rng(base: int, *keys: int) -> np.random.Generator:
+    """The PCG64 generator of the stream `keys` under `base`."""
+    return np.random.default_rng(np.random.SeedSequence([base, *keys]))
+
+
+def derive_seed(base: int, *keys: int) -> int:
+    """An independent PCG64 seed for the stream `keys` under `base`."""
+    seq = np.random.SeedSequence(entropy=[int(base), *map(int, keys)])
+    return int(seq.generate_state(1)[0])
+
 
 def write_atomic(path, text: str) -> None:
-    """Write via a temp file and a rename: readers see old or new, not part."""
+    """Write via a temp file and a rename: readers see old or new, not part.
+    Line endings are written as given, on every platform."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, newline="")
     tmp.rename(path)
 
 
@@ -297,7 +311,7 @@ def split(samples, config: SplitConfig):
     by_class: dict[str, list] = {}
     for s in samples:
         by_class.setdefault(s.label, []).append(s)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x517]))
+    rng = derive_rng(config.seed, 0x517)
     outputs = ([], [], [])
     for label in sorted(by_class):
         group = by_class[label]
@@ -329,14 +343,13 @@ def write_patches(patches: list[Patch], out_dir) -> Path:
     """Write PGM files plus a manifest CSV; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["filename", "label"])
+    for patch in patches:
+        fname = f"{patch.id}.pgm"
+        write_pgm(out_dir / fname, patch.pixels)
+        writer.writerow([fname, patch.label])
     manifest = out_dir / "manifest.csv"
-    tmp = manifest.with_suffix(".csv.tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["filename", "label"])
-        for patch in patches:
-            fname = f"{patch.id}.pgm"
-            write_pgm(out_dir / fname, patch.pixels)
-            writer.writerow([fname, patch.label])
-    tmp.rename(manifest)
+    write_atomic(manifest, rows.getvalue())
     return manifest

@@ -31,3 +31,10 @@ class ReconciliationError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration failed schema validation."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise ValueError unless value is an int >= low. JSON true and false
+    load as bools, which are ints to Python, so a bool is rejected too."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -16,12 +16,12 @@ import numpy as np
 
 from .autodiff import (CallLedger, GradMethod, ledger_predict,
                        ledger_reconcile, value_and_jacobian)
-from .circuit import (CircuitSpec, QNodeInput, Shots, derive_seed,
-                      encode_features, evaluate_rows)
+from .circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
+                      encode_features_vjp, evaluate_rows)
 # the single-register path stays bound here for tracers that wrap it
 from .circuit import evaluate_angles  # noqa: F401
-from .data import LABELS, write_atomic
-from .errors import DataError, FormatError
+from .data import LABELS, derive_rng, derive_seed, write_atomic
+from .errors import DataError, FormatError, check_int
 
 ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
@@ -29,16 +29,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def label_index(label: str) -> int:
-    if label not in LABELS:
-        raise DataError(f"label must be one of {LABELS}, got {label!r}")
-    return LABELS.index(label)
-
-
 @dataclass
 class LinearLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray     # (out,)
+
+    def __post_init__(self):
+        w, b = np.shape(self.weights), np.shape(self.bias)
+        if len(w) != 2 or b != w[:1]:
+            raise ValueError(f"expected (out, in) weights and an (out,) bias, "
+                             f"got {w} and {b}")
 
     @property
     def in_dim(self) -> int:
@@ -70,8 +70,9 @@ class HybridModel:
 
     def __post_init__(self):
         q = self.qspec.num_qubits
-        if self.pre.out_dim != q or self.post.in_dim != q:
-            raise ValueError("linear layers must match the qubit count")
+        if self.pre.out_dim != q or self.post.weights.shape != (2, q):
+            raise ValueError(f"linear layers must map into {q} qubits and "
+                             "out of them to 2 logits")
         if self.qparams.shape != (self.qspec.num_params,):
             raise ValueError(
                 f"expected {self.qspec.num_params} quantum params, "
@@ -81,7 +82,7 @@ class HybridModel:
     @classmethod
     def init(cls, n_features: int, qspec: CircuitSpec, seed: int
              ) -> "HybridModel":
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0DE]))
+        rng = derive_rng(seed, 0xC0DE)
         return cls(
             pre=LinearLayer.init(n_features, qspec.num_qubits, rng),
             qspec=qspec,
@@ -170,7 +171,7 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
         g_z = model.post.weights.T @ g_logits
         grads["theta"] += jac.d_params.T @ g_z
         g_angles = jac.d_inputs.T @ g_z
-        g_u = g_angles * (math.pi / 2.0) * (1.0 - np.tanh(u) ** 2)
+        g_u = encode_features_vjp(u, g_angles)
         grads["pre_w"] += np.outer(g_u, features)
         grads["pre_b"] += g_u
 
@@ -238,7 +239,7 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
     ledger = CallLedger()
     params = model.parameters()
     opt = OptimizerState.for_params(params)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F]))
+    shuffle_rng = derive_rng(seed, 0x5F)
     metrics: list[EpochMetrics] = []
 
     for epoch in range(epochs):
@@ -248,7 +249,7 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
         train_correct = 0
         for step, idx in enumerate(shuffle_rng.permutation(len(train_set))):
             s = train_set[idx]
-            label = label_index(s.label)
+            label = LABELS.index(s.label)
             m = mode
             if mode is not None:
                 m = Shots(mode.shots, derive_seed(mode.seed, epoch, step))
@@ -307,7 +308,7 @@ def evaluate_test(model: HybridModel, test_set, mode: Shots | None = None,
     rows = model.forward_rows([s.values for s in test_set], ledger, mode,
                               (seed_tag,))
     for s, logits in zip(test_set, rows):
-        y = label_index(s.label)
+        y = LABELS.index(s.label)
         pred = int(np.argmax(logits))
         loss += cross_entropy(logits, y)
         if pred == 1 and y == 1:
@@ -356,10 +357,8 @@ def load_checkpoint(path) -> tuple[HybridModel, int]:
             post=LinearLayer(np.array(doc["post"]["weights"], dtype=float),
                              np.array(doc["post"]["bias"], dtype=float)),
         )
-        seed = doc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise TypeError(f"seed must be a nonnegative integer, got {seed!r}")
-        return model, seed
+        check_int("seed", doc["seed"], 0)
+        return model, doc["seed"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint "
                           f"({type(exc).__name__}: {exc})") from exc

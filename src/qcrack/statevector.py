@@ -3,9 +3,10 @@
   * `evolve` is the batched kernel the training and evaluation paths run:
     a (B, 2^Q) stack of float64 amplitudes taken through the H wall, the
     Ry encoding and the CX-brick + Ry layers, with the angles given per
-    row. Every gate in use is a real matrix, so float64 loses nothing, and
-    each Ry uses `apply_gate`'s elementwise formula, so the amplitudes
-    equal the real parts of the register `apply_gate` evolves, bit for bit.
+    row; `adjoint` undoes the same gates in reverse for the Jacobian.
+    Every gate in use is a real matrix, so float64 loses nothing, and each
+    Ry uses `apply_gate`'s elementwise formula, so the amplitudes equal
+    the real parts of the register `apply_gate` evolves, bit for bit.
   * `StateVector` + `apply_gate` simulate one complex register gate by
     gate. No runtime path calls them: they are the single-register API
     and the reference the kernel is tested against.
@@ -265,6 +266,29 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray) -> np.ndarray:
 def z_rows(amps: np.ndarray) -> np.ndarray:
     """<Z> for every row and qubit of a (B, 2^Q) float64 stack."""
     return (amps * amps) @ z_signs(amps.shape[1].bit_length() - 1).T
+
+
+def adjoint(num_qubits: int, q_depth: int, angles: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse-mode pass over evolve's circuit at one row of L*Q angles:
+    (z, d), one column of d per angle. The ket and its Q co-states Z_k|psi>
+    sweep backwards as Q+1 rows. dRy(t)/dt = Ry(pi)Ry(t)/2, so the column
+    of an Ry is <co-state|Ry(pi)|ket> just after the gate (the 1/2 cancels
+    the 2 of 2*Re<bra|dU|ket>)."""
+    q = num_qubits
+    ket = evolve(q, q_depth, angles[None])
+    rows = np.vstack([ket, ket * z_signs(q)])
+    inverse = np.argsort(brick_permutation(q))
+    deriv = np.empty((q, angles.size))
+    for j in reversed(range(angles.size)):
+        qubit = j % q
+        rotated = ry_pi(rows, qubit)
+        deriv[:, j] = rows[1:] @ rotated[0]
+        half = angles[j] / 2  # undo Ry(theta): rows <- Ry(-theta) rows
+        rows = math.cos(half) * rows - math.sin(half) * rotated
+        if qubit == 0 and j >= q:
+            rows = rows[:, inverse]
+    return z_rows(ket)[0], deriv
 
 
 def sampled_z_rows(amps: np.ndarray, shots: int, seeds) -> np.ndarray:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dense_oracle import apply_dense
 from qcrack.circuit import (CircuitSpec, Shots, build_from_angles,
-                            derive_seed, encode_features, evaluate_angles,
-                            evaluate_rows)
+                            derive_seed, encode_features, encode_features_vjp,
+                            evaluate_angles, evaluate_rows)
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import zero_state
 
@@ -32,6 +32,17 @@ class TestEncodeFeatures:
     def test_nan_rejected(self):
         with pytest.raises(DataError):
             encode_features(np.array([0.0, float("nan")]))
+
+    def test_vjp(self):
+        x = np.array([-2.0, -0.3, 0.0, 0.7, 4.0])
+        g = np.array([0.5, -1.0, 2.0, 1.5, -0.25])
+        got = encode_features_vjp(x, g)
+        # the expression the model's backward pass has always used
+        old = g * (math.pi / 2.0) * (1.0 - np.tanh(x) ** 2)
+        assert np.array_equal(got, old)
+        h = 1e-6
+        central = (encode_features(x + h) - encode_features(x - h)) / (2 * h)
+        assert np.allclose(got, g * central, rtol=0, atol=1e-9)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_bounded(self, xs):

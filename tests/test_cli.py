@@ -88,6 +88,13 @@ class TestEstimateCommand:
         code, _, err = run(capsys, "estimate", "--n-calls", "10")
         assert code == 2 and "config error" in err
 
+    def test_unknown_profile_exits_2(self, capsys):
+        code, out, err = run(capsys, "estimate", "--profile", "nowhere",
+                             "--n-calls", "3")
+        assert code == 2 and out == ""
+        assert "config error" in err and "'nowhere'" in err
+        assert "ibmq_kolkata" in err  # the message lists the built-ins
+
     @pytest.mark.parametrize("doc", [{"clops": 500},
                                      {"name": "p", "clops": "fast"}])
     def test_malformed_profile_exits_2(self, capsys, tmp_path, doc):
@@ -306,6 +313,8 @@ class TestFlagValidation:
         ["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
          "{features}", "--shots", "8", "--seed", "-1", "--out",
          "{tmp}/patches"],
+        ["gradcheck", "--trials", "0", "--json"],
+        ["gradcheck", "--trials", "-3", "--json"],
     ])
     def test_rejected_flag_exits_2(self, capsys, tmp_path, feature_csv,
                                    argv):

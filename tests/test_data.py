@@ -182,6 +182,14 @@ class TestPgmIO:
         assert [p.label for p in loaded] == ["crack", "no_crack"]
         assert np.array_equal(loaded[0].pixels, patches[0].pixels)
 
+    def test_write_patches_leaves_no_temp_file(self, tmp_path):
+        manifest = write_patches(generate_synthetic(1, 1, seed=2), tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "clean_00000.pgm", "crack_00000.pgm", "manifest.csv"]
+        assert manifest.read_bytes() == (b"filename,label\r\n"
+                                         b"crack_00000.pgm,crack\r\n"
+                                         b"clean_00000.pgm,no_crack\r\n")
+
     def test_wrong_dimensions(self, tmp_path):
         write_pgm(tmp_path / "bad.pgm", np.zeros((225, 224), dtype=np.uint8))
         (tmp_path / "m.csv").write_text("filename,label\nbad.pgm,crack\n")

@@ -294,6 +294,28 @@ VALID_ONE_QUBIT = (
     ' "pre": {"weights": [[0.5]], "bias": [0.0]}, "qparams": [0.1],'
     ' "post": {"weights": [[1.0], [-1.0]], "bias": [0.0, 0.0]}}')
 
+# a well-formed three-qubit checkpoint, and edits that give one layer a
+# wrong shape
+VALID_THREE_QUBIT = {
+    "seed": 1, "circuit": {"num_qubits": 3, "q_depth": 1},
+    "pre": {"weights": [[0.5], [0.25], [-0.5]], "bias": [0.0, 0.1, 0.2]},
+    "qparams": [0.1, 0.2, 0.3],
+    "post": {"weights": [[1.0, 0.5, 0.0], [-1.0, 0.0, 0.5]],
+             "bias": [0.0, 0.0]}}
+BAD_LAYER_SHAPES = [
+    ("post", {"weights": [1.0, -1.0, 0.5]}),  # 1-D
+    ("post", {"bias": [0.5]}),                # would broadcast to 2 logits
+    ("pre", {"bias": [0.0]}),                 # would broadcast to 3 qubits
+    ("pre", {"bias": []}),
+    ("post", {"weights": [[1.0, 0.0, 0.0]] * 3, "bias": [0.0] * 3}),
+]
+
+
+def with_layer(layer: str, fields: dict) -> str:
+    doc = json.loads(json.dumps(VALID_THREE_QUBIT))
+    doc[layer].update(fields)
+    return json.dumps(doc)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -346,6 +368,12 @@ class TestCheckpoint:
         path.write_text(VALID_ONE_QUBIT)
         assert load_checkpoint(path)[1] == 1
 
+    def test_three_qubit_fixture_loads(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(VALID_THREE_QUBIT))
+        model, _ = load_checkpoint(path)
+        assert model.forward(np.array([0.3])).shape == (2,)
+
     @pytest.mark.parametrize("text", [
         '{"seed": 1}',
         "[1, 2]",
@@ -354,6 +382,7 @@ class TestCheckpoint:
         "not json",
         *(VALID_ONE_QUBIT.replace('"seed": 1', f'"seed": {seed}')
           for seed in ('"x"', "null", "true", "-1", "1.5")),
+        *(with_layer(*case) for case in BAD_LAYER_SHAPES),
     ])
     def test_malformed_raises_format_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
