@@ -19,7 +19,8 @@ from .circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
                       evaluate_rows)
 # the single-register path stays bound here for tracers that wrap it
 from .circuit import build_from_angles, evaluate_angles  # noqa: F401
-from .errors import CapabilityError, ReconciliationError
+from .errors import (CapabilityError, ReconciliationError, check_int,
+                     check_real)
 from .statevector import adjoint
 
 BACKPROP = "backprop"
@@ -36,10 +37,9 @@ class GradMethod:
     def __post_init__(self):
         if self.kind not in (BACKPROP, FINITE_DIFF, PARAM_SHIFT):
             raise ValueError(f"unknown gradient method {self.kind!r}")
-        d = self.fd_delta
-        if isinstance(d, bool) or not isinstance(d, (int, float)) \
-                or not 0 < d < math.inf:
-            raise ValueError(f"fd_delta must be positive and finite, got {d!r}")
+        check_real("fd_delta", self.fd_delta, 0)
+        if self.fd_delta == 0:
+            raise ValueError(f"fd_delta must be > 0, got {self.fd_delta!r}")
         if self.fd_variant not in ("forward", "central"):
             raise ValueError(f"unknown finite-difference variant {self.fd_variant!r}")
 
@@ -145,10 +145,11 @@ def jacobian(spec: CircuitSpec, qinput: QNodeInput, method: GradMethod,
 
 
 def ledger_predict(T: int, V: int, L: int, Q: int, method: GradMethod) -> int:
-    """Predicted device calls for one epoch: forward T+V plus backward work."""
-    for name, v in (("T", T), ("V", V), ("L", L), ("Q", Q)):
-        if v < 0:
-            raise ValueError(f"{name} must be nonnegative")
+    """Predicted device calls for one epoch of T training and V validation
+    images on an L-layer (L = q_depth + 1), Q-qubit circuit: forward T+V
+    plus backward work."""
+    for name, v, low in (("T", T, 0), ("V", V, 0), ("L", L, 2), ("Q", Q, 1)):
+        check_int(name, v, low)
     if method.kind == BACKPROP:
         return T + V
     if method.kind == PARAM_SHIFT:

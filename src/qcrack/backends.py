@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError, check_int
+from .errors import FormatError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,7 @@ class BackendProfile:
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
         check_int("clops", self.clops, 1)
-        o = self.overhead_factor
-        if isinstance(o, bool) or not isinstance(o, (int, float)) \
-                or not o >= 1.0:
-            raise ValueError(f"overhead_factor must be >= 1, got {o!r}")
+        check_real("overhead_factor", self.overhead_factor, 1)
 
 
 def builtin_profiles() -> list[str]:
@@ -61,7 +58,8 @@ def load_profile(name_or_path: str) -> BackendProfile:
 def estimate_runtime(profile: BackendProfile, n_calls: int, shots: int,
                      layers: int) -> tuple[float, float]:
     """(device_seconds, wall_seconds) for a batch of circuit executions."""
-    if n_calls <= 0 or shots <= 0 or layers <= 0:
-        raise ValueError("n_calls, shots, and layers must be positive")
+    for name, v in (("n_calls", n_calls), ("shots", shots),
+                    ("layers", layers)):
+        check_int(name, v, 1)
     device_seconds = n_calls * shots * layers / profile.clops
     return device_seconds, device_seconds * profile.overhead_factor

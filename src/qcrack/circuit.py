@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import derive_seed
-from .errors import CapacityError, DataError, check_int
-from .statevector import MAX_QUBITS, Gate, StateVector, apply_gates
+from .errors import DataError, check_int
+from .statevector import Gate, StateVector, apply_gates, check_qubits
 from .statevector import brick_pairs, estimate_z_from_counts, evolve, sample
 from .statevector import sampled_z_rows, z_expectations, z_rows
 
@@ -32,11 +32,8 @@ class CircuitSpec:
     q_depth: int = 1
 
     def __post_init__(self):
-        check_int("num_qubits", self.num_qubits, 1)
+        check_qubits(self.num_qubits)
         check_int("q_depth", self.q_depth, 1)
-        if self.num_qubits > MAX_QUBITS:
-            raise CapacityError(
-                f"num_qubits must be <= {MAX_QUBITS}, got {self.num_qubits}")
 
     @property
     def num_layers(self) -> int:

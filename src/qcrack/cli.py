@@ -26,7 +26,7 @@ from .autodiff import (BACKPROP, FINITE_DIFF, PARAM_SHIFT, CallLedger,
 from .backends import BackendProfile, estimate_runtime, load_profile
 from .circuit import CircuitSpec, QNodeInput, Shots
 from .data import SplitConfig, write_atomic
-from .errors import ConfigError, ReconciliationError, check_int
+from .errors import ConfigError, ReconciliationError, check_int, check_real
 from .model import (EpochMetrics, HybridModel, evaluate_test,
                     load_checkpoint, save_checkpoint, train)
 
@@ -199,9 +199,8 @@ def cmd_eval(args) -> int:
             args.shots, seed if args.seed is None else args.seed)
     samples = _load_samples(_eval_data_source(args))
     if samples and len(samples[0].values) != model.pre.in_dim:
-        print(f"error: checkpoint expects {model.pre.in_dim} features, "
-              f"data has {len(samples[0].values)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"checkpoint expects {model.pre.in_dim} features, "
+                          f"data has {len(samples[0].values)}")
     report = evaluate_test(model, samples, mode)
     doc = report.to_dict()
     if args.out:
@@ -233,6 +232,8 @@ def _eval_data_source(args) -> dict:
 def cmd_gradcheck(args) -> int:
     with _usage():
         check_int("trials", args.trials, 1)
+        check_real("tol_shift", args.tol_shift, 0)
+        check_real("tol_fd", args.tol_fd, 0)
         spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
         fd = GradMethod(FINITE_DIFF, args.fd_delta, args.fd_variant)
     rng = np.random.default_rng(args.seed if args.seed is not None else 7)
@@ -299,10 +300,12 @@ def cmd_estimate(args) -> int:
         raise ConfigError("estimate needs --profile or --clops")
     with _usage():
         try:
-            profile = (load_profile(args.profile) if args.clops is None else
-                       BackendProfile(args.profile or "custom", args.clops))
+            profile = (load_profile(args.profile) if args.profile else
+                       BackendProfile("custom", args.clops))
         except FileNotFoundError as exc:  # an unknown name is a bad value
             raise ValueError(str(exc)) from exc
+        if args.clops is not None:
+            profile = replace(profile, clops=args.clops)
         if args.overhead is not None:
             profile = replace(profile, overhead_factor=args.overhead)
         device_s, wall_s = estimate_runtime(profile, args.n_calls, args.shots,
@@ -416,10 +419,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError,) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, check_int, check_real
 
 PATCH_SIZE = 224
 LABELS = ("no_crack", "crack")
-FEATURE_DIM = 512
 GEN_SEED = 1234  # default seed of generate_synthetic for `gen` and configs
 
 _CELLS = 8                      # 8x8 grid of pooling cells
@@ -78,19 +77,21 @@ def derive_seed(base: int, *keys: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def write_atomic(path, text: str) -> None:
+def write_atomic(path, content: str | bytes) -> None:
     """Write via a temp file and a rename: readers see old or new, not part.
-    Line endings are written as given, on every platform."""
+    Text keeps its line endings as given, on every platform."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="")
+    if isinstance(content, str):
+        tmp.write_text(content, newline="")
+    else:
+        tmp.write_bytes(content)
     tmp.rename(path)
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode())
-        fh.write(pixels.tobytes())
+    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
+    write_atomic(path, header + pixels.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -192,8 +193,8 @@ def _draw_crack(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def generate_synthetic(n_crack: int, n_clean: int, seed: int) -> list[Patch]:
     """Deterministic synthetic patches: cracks first, then clean."""
-    if n_crack < 0 or n_clean < 0:
-        raise ValueError("counts must be nonnegative")
+    check_int("n_crack", n_crack, 0)
+    check_int("n_clean", n_clean, 0)
     children = np.random.SeedSequence(seed).spawn(n_crack + n_clean)
     patches: list[Patch] = []
     for i in range(n_crack):
@@ -285,11 +286,12 @@ class SplitConfig:
 
     def __post_init__(self):
         r = self.ratios
-        if not isinstance(r, (list, tuple)) or len(r) != 3 or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                and 0 <= x <= 1 for x in r) or abs(sum(r) - 1.0) > 1e-9:
-            raise ValueError("split must be three ratios in [0, 1] summing "
-                             f"to 1, got {r!r}")
+        if not isinstance(r, (list, tuple)) or len(r) != 3:
+            raise ValueError(f"split must be three ratios, got {r!r}")
+        for x in r:
+            check_real("split ratio", x, 0, 1)
+        if abs(sum(r) - 1.0) > 1e-9:
+            raise ValueError(f"split ratios must sum to 1, got {r!r}")
         object.__setattr__(self, "ratios", tuple(r))
 
 

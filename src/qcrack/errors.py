@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of each
+kind of number: check_int for counts, check_real for reals."""
+
+import math
 
 
 class CapacityError(ValueError):
@@ -33,8 +36,24 @@ class ConfigError(ValueError):
     """A run configuration failed schema validation."""
 
 
-def check_int(name: str, value, low: int) -> None:
-    """Raise ValueError unless value is an int >= low. JSON true and false
-    load as bools, which are ints to Python, so a bool is rejected too."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _bounds(low, high) -> str:
+    return f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+
+
+def check_int(name: str, value, low: int, high=math.inf) -> None:
+    """Raise ValueError unless value is an int in [low, high]. JSON true
+    and false load as bools, which are ints to Python, so a bool is
+    rejected too."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer {_bounds(low, high)}, "
+                         f"got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf) -> None:
+    """Raise ValueError unless value is a finite int or float, not a bool,
+    in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (low <= value <= high and abs(value) < math.inf):
+        raise ValueError(f"{name} must be a finite number "
+                         f"{_bounds(low, high)}, got {value!r}")

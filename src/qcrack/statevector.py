@@ -29,11 +29,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DataError
+from .errors import CapacityError, DataError, check_int
 
 MAX_QUBITS = 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def check_qubits(num_qubits) -> None:
+    """Raise CapacityError unless num_qubits is an integer in
+    [1, MAX_QUBITS]: the one register-size check."""
+    try:
+        check_int("num_qubits", num_qubits, 1, MAX_QUBITS)
+    except ValueError as exc:
+        raise CapacityError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -74,10 +83,7 @@ class StateVector:
     __slots__ = ("num_qubits", "amps")
 
     def __init__(self, num_qubits: int, amps: np.ndarray | None = None):
-        if not 1 <= num_qubits <= MAX_QUBITS:
-            raise CapacityError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
-            )
+        check_qubits(num_qubits)
         self.num_qubits = num_qubits
         dim = 1 << num_qubits
         if amps is None:
@@ -165,14 +171,12 @@ class ShotCounts:
     counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        check_int("shots", self.shots, 1)
 
 
 def sample(state: StateVector, shots: int, seed: int) -> ShotCounts:
     """Draw `shots` basis-state measurements with an explicit PCG64 seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_int("shots", shots, 1)
     probs = np.clip(np.abs(state.amps) ** 2, 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
@@ -236,10 +240,7 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray) -> np.ndarray:
     """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
     encoding, then q_depth blocks of a CX brick and one Ry per wire, with
     one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q)."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise CapacityError(
-            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
+    check_qubits(num_qubits)
     angles = np.asarray(angles, dtype=float)
     n = (q_depth + 1) * num_qubits
     if angles.ndim != 2 or angles.shape[1] != n:

@@ -173,6 +173,12 @@ class TestLedgerPredict:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ledger_predict(-1, 0, 2, 4, BP)
+        # T, V >= 0, L = q_depth + 1 >= 2 and Q >= 1, each an integer
+        for sizes in ((True, 1, 2, 4), (1.5, 1, 2, 4), (5, 5.0, 2, 4),
+                      (5, 5, 2.0, 4), (5, 5, 2, False), (5, 5, 0, 4),
+                      (5, 5, 1, 4), (5, 5, 2, 0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ledger_predict(*sizes, PS)
 
     def test_sweep_matches_measured(self):
         # measured calls over simulated epochs equal the table predictions

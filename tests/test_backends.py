@@ -40,7 +40,7 @@ class TestProfiles:
         for clops in (0, -5, 2.5, True, "100"):
             with pytest.raises(ValueError):
                 BackendProfile("x", clops=clops)
-        for factor in (0.5, float("nan"), True, "2"):
+        for factor in (0.5, float("nan"), float("inf"), True, "2"):
             with pytest.raises(ValueError):
                 BackendProfile("x", clops=100, overhead_factor=factor)
         with pytest.raises(ValueError):
@@ -87,3 +87,8 @@ class TestEstimate:
         profile = BackendProfile("x", clops=100)
         with pytest.raises(ValueError):
             estimate_runtime(profile, 0, 1000, 2)
+        # counts are integers: bools and floats are rejected too
+        for args in ((2.5, 1000, 2), (True, 1000, 2), (10, True, 1),
+                     (10, 1000, 2.0), (10, 1000, 0)):
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                estimate_runtime(profile, *args)

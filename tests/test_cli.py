@@ -105,6 +105,19 @@ class TestEstimateCommand:
         assert code == 2
         assert str(path) in err and "malformed backend profile" in err
 
+    def test_clops_overrides_profile_file(self, capsys, tmp_path):
+        """--clops replaces the profile's throughput and keeps its name and
+        overhead factor."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "p", "clops": 100,
+                                    "overhead_factor": 2.0}))
+        code, out, _ = run(capsys, "estimate", "--profile", str(path),
+                           "--clops", "500", "--n-calls", "10", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["profile"] == "p"
+        assert doc["clops"] == 500 and doc["overhead_factor"] == 2.0
+        assert doc["wall_seconds"] == 2.0 * doc["device_seconds"]
+
     def test_overhead_overrides_profile_file(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"name": "p", "clops": 100,
@@ -279,11 +292,12 @@ class TestEvalCommand:
         run(capsys, "train", "--config", str(cfg))
         bad = tmp_path / "bad.csv"
         bad.write_text("a,crack,1,2,3\n")
-        code, _, err = run(capsys, "eval",
-                           "--checkpoint",
-                           str(tmp_path / "run" / "checkpoint.json"),
-                           "--features", str(bad))
-        assert code == 2 and "features" in err
+        code, out, err = run(capsys, "eval",
+                             "--checkpoint",
+                             str(tmp_path / "run" / "checkpoint.json"),
+                             "--features", str(bad))
+        assert code == 2 and out == ""
+        assert "config error: checkpoint expects 8 features, data has 3" in err
 
     def test_malformed_checkpoint_names_file(self, capsys, tmp_path,
                                              feature_csv):
@@ -315,6 +329,12 @@ class TestFlagValidation:
          "{tmp}/patches"],
         ["gradcheck", "--trials", "0", "--json"],
         ["gradcheck", "--trials", "-3", "--json"],
+        ["gradcheck", "--trials", "1", "--tol-shift", "nan", "--json"],
+        ["gradcheck", "--trials", "1", "--tol-fd", "-1"],
+        ["ledger", "5", "5", "0", "4"],
+        ["ledger", "5", "5", "1", "4"],
+        ["estimate", "--profile", "ibmq_lima", "--overhead", "inf",
+         "--n-calls", "10", "--json"],
     ])
     def test_rejected_flag_exits_2(self, capsys, tmp_path, feature_csv,
                                    argv):

@@ -102,6 +102,12 @@ class TestSyntheticGeneration:
         patches = generate_synthetic(3, 2, seed=1)
         assert [p.label for p in patches] == ["crack"] * 3 + ["no_crack"] * 2
 
+    @pytest.mark.parametrize("counts", [(True, False), (1.0, 1), (1, 2.5),
+                                        (-1, 1), (1, -1)])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            generate_synthetic(*counts, seed=1)
+
     def test_deterministic(self):
         a = generate_synthetic(2, 2, seed=77)
         b = generate_synthetic(2, 2, seed=77)
@@ -183,12 +189,31 @@ class TestPgmIO:
         assert np.array_equal(loaded[0].pixels, patches[0].pixels)
 
     def test_write_patches_leaves_no_temp_file(self, tmp_path):
-        manifest = write_patches(generate_synthetic(1, 1, seed=2), tmp_path)
+        patches = generate_synthetic(1, 1, seed=2)
+        manifest = write_patches(patches, tmp_path)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "clean_00000.pgm", "crack_00000.pgm", "manifest.csv"]
         assert manifest.read_bytes() == (b"filename,label\r\n"
                                          b"crack_00000.pgm,crack\r\n"
                                          b"clean_00000.pgm,no_crack\r\n")
+        for p in patches:
+            assert (tmp_path / f"{p.id}.pgm").read_bytes() == (
+                b"P5\n224 224\n255\n" + p.pixels.tobytes())
+
+    def test_failed_pgm_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        write_pgm(path, np.zeros((224, 224), dtype=np.uint8))
+        before = path.read_bytes()
+
+        class Unreadable:
+            shape = (224, 224)
+
+            def tobytes(self):
+                raise OSError("read error")
+
+        with pytest.raises(OSError):
+            write_pgm(path, Unreadable())
+        assert path.read_bytes() == before
 
     def test_wrong_dimensions(self, tmp_path):
         write_pgm(tmp_path / "bad.pgm", np.zeros((225, 224), dtype=np.uint8))

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from qcrack.errors import check_int
+from qcrack.errors import check_int, check_real
 
 
 @pytest.mark.parametrize("value,ok", [
@@ -15,3 +17,26 @@ def test_check_int(value, ok):
     else:
         with pytest.raises(ValueError, match="count must be an integer >= 1"):
             check_int("count", value, 1)
+
+
+def test_check_int_upper_bound():
+    check_int("count", 5, 1, 5)
+    with pytest.raises(ValueError,
+                       match=r"count must be an integer in \[1, 5\]"):
+        check_int("count", 6, 1, 5)
+
+
+@pytest.mark.parametrize("value,ok", [
+    (True, False), (False, False), ("0.5", False), (None, False),
+    (math.nan, False), (math.inf, False), (-math.inf, False),
+    (-0.5, False), (2.5, False), (0, True), (2, True), (0.5, True),
+    (1.25, True),
+])
+def test_check_real(value, ok):
+    """A finite int or float, not a bool, in [low, high] passes, both bounds
+    included; anything else is a ValueError naming the value."""
+    if ok:
+        check_real("ratio", value, 0, 2)
+    else:
+        with pytest.raises(ValueError, match=r"ratio must be a finite number"):
+            check_real("ratio", value, 0, 2)

@@ -11,6 +11,7 @@ from qcrack.circuit import CircuitSpec, build_from_angles
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import (Gate, ShotCounts, StateVector, apply_gate,
                                 apply_gates, brick_pairs, brick_permutation,
+                                check_qubits,
                                 estimate_z_from_counts, evolve, sample,
                                 sampled_z_rows, z_expectation, z_rows,
                                 zero_state)
@@ -36,6 +37,20 @@ class TestZeroState:
     def test_capacity(self, n):
         with pytest.raises(CapacityError):
             zero_state(n)
+
+    @pytest.mark.parametrize("n,ok", [
+        (1, True), (20, True), (0, False), (21, False), (True, False),
+        (2.0, False), ("2", False), (None, False),
+    ])
+    def test_check_qubits(self, n, ok):
+        """One register-size rule for specs, registers and the kernel."""
+        if ok:
+            check_qubits(n)
+            return
+        for build in (check_qubits, StateVector,
+                      lambda q: evolve(q, 1, np.zeros((1, 4)))):
+            with pytest.raises(CapacityError):
+                build(n)
 
 
 class TestApplyGate:
@@ -153,6 +168,11 @@ class TestSample:
     def test_shots_validation(self):
         with pytest.raises(ValueError):
             sample(zero_state(1), 0, 1)
+        for shots in (True, 2.5):
+            with pytest.raises(ValueError, match="shots must be an integer"):
+                sample(zero_state(1), shots, 1)
+            with pytest.raises(ValueError, match="shots must be an integer"):
+                ShotCounts(shots)
 
 
 class TestEstimateZFromCounts:
