@@ -10,6 +10,7 @@ plus the method's backward calls.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,17 +88,21 @@ class QNodeJacobian:
     d_inputs: np.ndarray  # (Q outputs, Q encoding angles)
 
 
+@functools.lru_cache(maxsize=32)
 def _shift_rows(method: GradMethod, n: int) -> np.ndarray:
     """Angle offsets of the circuits a method runs: the unshifted base row,
     then +step on angle j (forward differences) or +step, -step on angle j
-    (the shift rule at pi/2 and central differences), j = 0..n-1."""
+    (the shift rule at pi/2 and central differences), j = 0..n-1. Built
+    once per (method, n) and shared, so the array is read-only."""
     step = math.pi / 2 if method.kind == PARAM_SHIFT else method.fd_delta
     eye = step * np.eye(n)
     if method.kind == FINITE_DIFF and method.fd_variant == "forward":
         shifts = eye
     else:
         shifts = np.stack([eye, -eye], axis=1).reshape(2 * n, n)
-    return np.vstack([np.zeros(n), shifts])
+    rows = np.vstack([np.zeros(n), shifts])
+    rows.flags.writeable = False
+    return rows
 
 
 def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,

@@ -85,7 +85,7 @@ class QNodeInput:
 def encode_features(x: np.ndarray) -> np.ndarray:
     """Squash raw features into rotation angles: (pi/2) * tanh(x)."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
+    if np.isnan(x).any():
         raise DataError("NaN in feature vector")
     return (math.pi / 2.0) * np.tanh(x)
 

@@ -197,8 +197,12 @@ def cmd_eval(args) -> int:
     with _usage():
         mode = None if args.shots is None else Shots(
             args.shots, seed if args.seed is None else args.seed)
-    samples = _load_samples(_eval_data_source(args))
-    if samples and len(samples[0].values) != model.pre.in_dim:
+    source = _eval_data_source(args)
+    samples = _load_samples(source)
+    if not samples:
+        where = source.get("manifest", source["path"])
+        raise ConfigError(f"nothing to evaluate: {where} lists no samples")
+    if len(samples[0].values) != model.pre.in_dim:
         raise ConfigError(f"checkpoint expects {model.pre.in_dim} features, "
                           f"data has {len(samples[0].values)}")
     report = evaluate_test(model, samples, mode)

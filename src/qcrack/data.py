@@ -195,23 +195,18 @@ def generate_synthetic(n_crack: int, n_clean: int, seed: int) -> list[Patch]:
     """Deterministic synthetic patches: cracks first, then clean."""
     check_int("n_crack", n_crack, 0)
     check_int("n_clean", n_clean, 0)
+    check_int("seed", seed, 0)
     children = np.random.SeedSequence(seed).spawn(n_crack + n_clean)
     patches: list[Patch] = []
-    for i in range(n_crack):
-        rng = np.random.default_rng(children[i])
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
         img = _base_texture(rng)
-        _draw_crack(img, rng)
+        crack = i < n_crack
+        if crack:
+            _draw_crack(img, rng)
         patches.append(Patch(
-            id=f"crack_{i:05d}", label="crack",
-            pixels=np.clip(img, 0, 255).astype(np.uint8),
-        ))
-    for i in range(n_clean):
-        rng = np.random.default_rng(children[n_crack + i])
-        img = _base_texture(rng)
-        patches.append(Patch(
-            id=f"clean_{i:05d}", label="no_crack",
-            pixels=np.clip(img, 0, 255).astype(np.uint8),
-        ))
+            id=f"crack_{i:05d}" if crack else f"clean_{i - n_crack:05d}",
+            label=LABELS[crack], pixels=np.clip(img, 0, 255).astype(np.uint8)))
     return patches
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class LinearLayer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.weights @ x + self.bias
 
@@ -61,23 +57,46 @@ class LinearLayer:
         )
 
 
+class ParamVector(dict):
+    """Named views of one flat float64 vector, reachable as `vector`:
+    writing through a view writes the vector, and the reverse."""
+
+    def __init__(self, arrays: dict[str, np.ndarray], vector=None):
+        """Views of `vector`, or of a new copy of the arrays, shaped as them."""
+        if vector is None:
+            vector = np.concatenate([np.ravel(a) for a in arrays.values()],
+                                    dtype=float)
+        self.vector, start = vector, 0
+        for name, a in arrays.items():
+            self[name] = vector[start:start + np.size(a)].reshape(np.shape(a))
+            start += np.size(a)
+
+
 @dataclass
 class HybridModel:
+    """The constructor copies pre, qparams and post into one ParamVector
+    and rebinds them as its views, so every parameter lives in one vector."""
     pre: LinearLayer
     qspec: CircuitSpec
     qparams: np.ndarray
     post: LinearLayer
 
     def __post_init__(self):
-        q = self.qspec.num_qubits
-        if self.pre.out_dim != q or self.post.weights.shape != (2, q):
-            raise ValueError(f"linear layers must map into {q} qubits and "
-                             "out of them to 2 logits")
-        if self.qparams.shape != (self.qspec.num_params,):
+        q, n = self.qspec.num_qubits, self.qspec.num_params
+        if (self.pre.weights.shape[0], self.post.weights.shape,
+                np.shape(self.qparams)) != (q, (2, q), (n,)):
             raise ValueError(
-                f"expected {self.qspec.num_params} quantum params, "
-                f"got {self.qparams.shape}"
-            )
+                f"expected ({q}, F) and (2, {q}) layer weights around {n} "
+                f"quantum params, got {self.pre.weights.shape}, "
+                f"{self.post.weights.shape} and {np.shape(self.qparams)}")
+        p = self._params = ParamVector({
+            "pre_w": self.pre.weights, "pre_b": self.pre.bias,
+            "theta": self.qparams,
+            "post_w": self.post.weights, "post_b": self.post.bias,
+        })
+        self.pre, self.qparams, self.post = (
+            LinearLayer(p["pre_w"], p["pre_b"]), p["theta"],
+            LinearLayer(p["post_w"], p["post_b"]))
 
     @classmethod
     def init(cls, n_features: int, qspec: CircuitSpec, seed: int
@@ -90,14 +109,6 @@ class HybridModel:
             post=LinearLayer.init(qspec.num_qubits, 2, rng),
         )
 
-    def _angles(self, features) -> np.ndarray:
-        features = np.asarray(features, dtype=float)
-        if features.shape != (self.pre.in_dim,):
-            raise ValueError(
-                f"expected {self.pre.in_dim} features, got {features.shape}"
-            )
-        return encode_features(self.pre.apply(features))
-
     def forward(self, features: np.ndarray) -> np.ndarray:
         """(2,) logits of one feature vector: one exact forward_rows row."""
         return self.forward_rows([features])[0]
@@ -108,46 +119,51 @@ class HybridModel:
         """(B, 2) logits of B feature vectors, their circuits run as rows of
         one evaluate_rows call; in shot mode row i samples with seed
         derive_seed(mode.seed, *keys, i). The linear layers run per row."""
-        angles = np.array([self._angles(x) for x in features])
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != self.pre.in_dim:
+            raise ValueError(f"expected rows of {self.pre.in_dim} features, "
+                             f"got {features.shape}")
+        angles = np.array([encode_features(self.pre.apply(x))
+                           for x in features])
         params = np.tile(self.qparams, (len(angles), 1))
         z = evaluate_rows(self.qspec, np.hstack([angles, params]), mode, keys)
         if ledger is not None:
             ledger.add_forward(len(angles))
         return np.array([self.post.apply(zi) for zi in z])
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {
-            "pre_w": self.pre.weights, "pre_b": self.pre.bias,
-            "theta": self.qparams,
-            "post_w": self.post.weights, "post_b": self.post.bias,
-        }
+    def parameters(self) -> ParamVector:
+        return self._params
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - np.max(logits))
-    return e / e.sum()
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    shifted = logits - np.max(logits)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
+def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of one sample and its gradient in the logits (the
+    softmax minus the one-hot label), both from one exp."""
+    shifted = logits - logits.max()
+    e = np.exp(shifted)
+    total = e.sum()
+    g = e / total
+    g[label] -= 1.0
+    return float(np.log(total) - shifted[label]), g
 
 
 def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
                   method: GradMethod, ledger: CallLedger,
                   mode: Shots | None = None
-                  ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+                  ) -> tuple[float, ParamVector, np.ndarray]:
     """Mean cross-entropy, gradients for every parameter, and the logits.
 
     The gradient chain: d(loss)/d(logits) -> post layer -> quantum outputs
     -> quantum Jacobian (method-dependent) -> encoding angles -> tanh
-    scaling -> pre layer. Only quantum-node executions touch the ledger.
+    scaling -> pre layer. Every sample adds into one zeroed vector laid
+    out as model.parameters(), divided once by the batch size. Only
+    quantum-node executions touch the ledger.
     In shot mode sample 0 samples under `mode` and sample i > 0 under
     derive_seed(mode.seed, i), so no two samples share shot noise.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
-    grads = {k: np.zeros_like(v) for k, v in model.parameters().items()}
+    params = model.parameters()
+    grads = ParamVector(params, np.zeros_like(params.vector))
     total_loss = 0.0
     logits_out = np.zeros((len(batch), 2))
     for i, (features, label) in enumerate(batch):
@@ -155,58 +171,49 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
             raise DataError(f"label must be 0 or 1, got {label!r}")
         features = np.asarray(features, dtype=float)
         u = model.pre.apply(features)
-        qinput = QNodeInput(features=u, params=model.qparams)
-        m = mode
-        if mode is not None and i:
-            m = Shots(mode.shots, derive_seed(mode.seed, i))
-        z, jac = value_and_jacobian(model.qspec, qinput, method, ledger, m)
-        logits = model.post.apply(z)
-        logits_out[i] = logits
-        total_loss += cross_entropy(logits, label)
-
-        g_logits = softmax(logits)
-        g_logits[label] -= 1.0
+        m = Shots(mode.shots, derive_seed(mode.seed, i)) if mode and i else mode
+        z, jac = value_and_jacobian(model.qspec, QNodeInput(u, model.qparams),
+                                    method, ledger, m)
+        logits = logits_out[i] = model.post.apply(z)
+        loss, g_logits = cross_entropy(logits, label)
+        total_loss += loss
         grads["post_w"] += np.outer(g_logits, z)
         grads["post_b"] += g_logits
         g_z = model.post.weights.T @ g_logits
         grads["theta"] += jac.d_params.T @ g_z
-        g_angles = jac.d_inputs.T @ g_z
-        g_u = encode_features_vjp(u, g_angles)
+        g_u = encode_features_vjp(u, jac.d_inputs.T @ g_z)
         grads["pre_w"] += np.outer(g_u, features)
         grads["pre_b"] += g_u
-
-    n = len(batch)
-    for g in grads.values():
-        g /= n
-    return total_loss / n, grads, logits_out
+    grads.vector /= len(batch)
+    return total_loss / len(batch), grads, logits_out
 
 
 @dataclass
 class OptimizerState:
+    """Adam's step count and moments, one entry per parameter entry."""
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(cls, params: ParamVector) -> "OptimizerState":
+        return cls(np.zeros_like(params.vector), np.zeros_like(params.vector))
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+def adam_step(params: ParamVector, grads: ParamVector,
               state: OptimizerState) -> None:
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980), in place on the
+    flat vectors. Per entry: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p -= (lr*m_hat) / (sqrt(v_hat) + eps)."""
     state.step += 1
     t = state.step
-    for k, p in params.items():
-        g = grads[k]
-        state.m[k] = ADAM_BETA1 * state.m[k] + (1 - ADAM_BETA1) * g
-        state.v[k] = ADAM_BETA2 * state.v[k] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[k] / (1 - ADAM_BETA1 ** t)
-        v_hat = state.v[k] / (1 - ADAM_BETA2 ** t)
-        p -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g, m, v = grads.vector, state.m, state.v
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    params.vector -= (ADAM_LR * (m / (1 - ADAM_BETA1 ** t))
+                      / (np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS))
 
 
 @dataclass
@@ -250,9 +257,7 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
         for step, idx in enumerate(shuffle_rng.permutation(len(train_set))):
             s = train_set[idx]
             label = LABELS.index(s.label)
-            m = mode
-            if mode is not None:
-                m = Shots(mode.shots, derive_seed(mode.seed, epoch, step))
+            m = mode and Shots(mode.shots, derive_seed(mode.seed, epoch, step))
             loss, grads, logits = loss_and_grad(model, [(s.values, label)],
                                                 method, ledger, m)
             adam_step(params, grads, opt)
@@ -310,15 +315,8 @@ def evaluate_test(model: HybridModel, test_set, mode: Shots | None = None,
     for s, logits in zip(test_set, rows):
         y = LABELS.index(s.label)
         pred = int(np.argmax(logits))
-        loss += cross_entropy(logits, y)
-        if pred == 1 and y == 1:
-            conf["tp"] += 1
-        elif pred == 1 and y == 0:
-            conf["fp"] += 1
-        elif pred == 0 and y == 1:
-            conf["fn"] += 1
-        else:
-            conf["tn"] += 1
+        loss += cross_entropy(logits, y)[0]
+        conf[("tn", "fn", "fp", "tp")[2 * pred + y]] += 1
         if pred != y:
             wrong.append(s.id)
     n = len(test_set)
@@ -332,14 +330,12 @@ def evaluate_test(model: HybridModel, test_set, mode: Shots | None = None,
 
 def save_checkpoint(path, model: HybridModel, seed: int) -> None:
     """Write the model and its seed as JSON, atomically."""
+    p = {k: v.tolist() for k, v in model.parameters().items()}
     write_atomic(path, json.dumps({
-        "seed": seed,
-        "circuit": asdict(model.qspec),
-        "pre": {"weights": model.pre.weights.tolist(),
-                "bias": model.pre.bias.tolist()},
-        "qparams": model.qparams.tolist(),
-        "post": {"weights": model.post.weights.tolist(),
-                 "bias": model.post.bias.tolist()},
+        "seed": seed, "circuit": asdict(model.qspec),
+        "pre": {"weights": p["pre_w"], "bias": p["pre_b"]},
+        "qparams": p["theta"],
+        "post": {"weights": p["post_w"], "bias": p["post_b"]},
     }))
 
 

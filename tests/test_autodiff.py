@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qcrack.autodiff import (CallLedger, GradMethod, jacobian, ledger_predict,
-                             ledger_reconcile, value_and_jacobian)
+from qcrack.autodiff import (CallLedger, GradMethod, _shift_rows, jacobian,
+                             ledger_predict, ledger_reconcile,
+                             value_and_jacobian)
 from qcrack.circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
                             evaluate_angles)
 from qcrack.errors import CapabilityError, ReconciliationError
@@ -148,6 +149,20 @@ class TestCallCounting:
         expected = backward(L, Q) if callable(backward) else backward
         assert ledger.n_backward == expected
         assert ledger.n_calls == ledger.n_forward + ledger.n_backward
+
+    @pytest.mark.parametrize("method,rows", [(PS, 17), (FD_FWD, 9),
+                                             (FD_CTR, 17)])
+    def test_shift_rows_built_once_and_read_only(self, method, rows):
+        offsets = _shift_rows(method, 8)
+        assert offsets.shape == (rows, 8)
+        assert _shift_rows(method, 8) is offsets
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 1.0
+
+    def test_shift_rows_cache_keys_on_the_step(self):
+        wide = GradMethod.finite_diff(2 * FD_FWD.fd_delta)
+        assert np.max(_shift_rows(wide, 8)) == \
+            2 * np.max(_shift_rows(FD_FWD, 8))
 
 
 class TestLedgerPredict:

@@ -299,6 +299,18 @@ class TestEvalCommand:
         assert code == 2 and out == ""
         assert "config error: checkpoint expects 8 features, data has 3" in err
 
+    def test_empty_feature_file_exits_2(self, capsys, tmp_path, feature_csv):
+        cfg = train_config(tmp_path, feature_csv, epochs=0)
+        run(capsys, "train", "--config", str(cfg))
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, out, err = run(capsys, "eval",
+                             "--checkpoint",
+                             str(tmp_path / "run" / "checkpoint.json"),
+                             "--features", str(empty))
+        assert code == 2 and out == ""
+        assert f"config error: nothing to evaluate: {empty}" in err
+
     def test_malformed_checkpoint_names_file(self, capsys, tmp_path,
                                              feature_csv):
         bad = tmp_path / "checkpoint.json"

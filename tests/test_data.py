@@ -108,6 +108,12 @@ class TestSyntheticGeneration:
         with pytest.raises(ValueError, match="must be an integer >= 0"):
             generate_synthetic(*counts, seed=1)
 
+    @pytest.mark.parametrize("seed", [True, False, -1, 1.0, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # a bool seed once went to SeedSequence as 0 or 1
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            generate_synthetic(1, 0, seed)
+
     def test_deterministic(self):
         a = generate_synthetic(2, 2, seed=77)
         b = generate_synthetic(2, 2, seed=77)

@@ -10,9 +10,10 @@ from qcrack.autodiff import CallLedger, GradMethod, ledger_predict
 from qcrack.circuit import CircuitSpec, Shots, encode_features, evaluate_angles
 from qcrack.data import FeatureSample
 from qcrack.errors import DataError, FormatError, ReconciliationError
-from qcrack.model import (HybridModel, LinearLayer, OptimizerState, adam_step,
-                          cross_entropy, evaluate_test, load_checkpoint,
-                          loss_and_grad, save_checkpoint, train)
+from qcrack.model import (HybridModel, LinearLayer, OptimizerState,
+                          ParamVector, adam_step, cross_entropy, evaluate_test,
+                          load_checkpoint, loss_and_grad, save_checkpoint,
+                          train)
 
 BP = GradMethod.backprop()
 PS = GradMethod.param_shift()
@@ -68,7 +69,7 @@ class TestForward:
 
 class TestLossAndGrad:
     def test_uniform_logits_loss(self):
-        assert cross_entropy(np.zeros(2), 0) == pytest.approx(math.log(2))
+        assert cross_entropy(np.zeros(2), 0)[0] == pytest.approx(math.log(2))
         model = tiny_model()
         for p in model.parameters().values():
             p[:] = 0.0
@@ -128,34 +129,130 @@ class TestLossAndGrad:
                     f"{key}[{i}]: analytic {ana} vs numeric {num}"
 
 
+def flat(**arrays) -> ParamVector:
+    return ParamVector(arrays)
+
+
+def reference_adam(params, grads, state, t):
+    """The per-group update rule Adam had before the flat layout, applied
+    to dicts of arrays: the oracle of the flat adam_step."""
+    b1, b2 = model_mod.ADAM_BETA1, model_mod.ADAM_BETA2
+    for k, p in params.items():
+        g = grads[k]
+        state["m"][k] = b1 * state["m"][k] + (1 - b1) * g
+        state["v"][k] = b2 * state["v"][k] + (1 - b2) * g * g
+        m_hat = state["m"][k] / (1 - b1 ** t)
+        v_hat = state["v"][k] / (1 - b2 ** t)
+        p -= model_mod.ADAM_LR * m_hat / (np.sqrt(v_hat) + model_mod.ADAM_EPS)
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = flat(w=np.array([1.0, -2.0]))
         state = OptimizerState.for_params(params)
-        adam_step(params, {"w": np.zeros(2)}, state)
+        adam_step(params, flat(w=np.zeros(2)), state)
         assert np.array_equal(params["w"], [1.0, -2.0])
         assert state.step == 1
 
     def test_first_step_magnitude(self):
-        params = {"w": np.array([0.5])}
+        params = flat(w=np.array([0.5]))
         state = OptimizerState.for_params(params)
-        adam_step(params, {"w": np.array([1.0])}, state)
+        adam_step(params, flat(w=np.array([1.0])), state)
         # bias-corrected first step: m_hat = 1, v_hat = 1 -> lr/(1 + eps)
         assert params["w"][0] == pytest.approx(0.5 - 1e-3, abs=1e-9)
 
     def test_constant_gradient_limit(self):
-        params = {"w": np.array([0.0])}
+        params = flat(w=np.array([0.0]))
         state = OptimizerState.for_params(params)
         prev = 0.0
         for _ in range(5000):
             prev = params["w"][0]
-            adam_step(params, {"w": np.array([2.5])}, state)
+            adam_step(params, flat(w=np.array([2.5])), state)
         # update magnitude approaches lr regardless of gradient scale
         assert prev - params["w"][0] == pytest.approx(1e-3, rel=1e-3)
 
     def test_defaults(self):
         assert (model_mod.ADAM_LR, model_mod.ADAM_BETA1, model_mod.ADAM_BETA2,
                 model_mod.ADAM_EPS) == (1e-3, 0.9, 0.999, 1e-8)
+
+    def test_flat_step_equals_per_group_rule(self):
+        rng = np.random.default_rng(30)
+        shapes = {"pre_w": (4, 6), "pre_b": (4,), "theta": (8,),
+                  "post_w": (2, 4), "post_b": (2,)}
+        ref = {k: rng.normal(size=s) for k, s in shapes.items()}
+        params = flat(**ref)
+        ref_state = {"m": {k: np.zeros(s) for k, s in shapes.items()},
+                     "v": {k: np.zeros(s) for k, s in shapes.items()}}
+        state = OptimizerState.for_params(params)
+        for t in range(1, 51):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s)
+                     for k, s in shapes.items()}
+            if t % 7 == 0:  # a whole zero gradient, and zero entries
+                grads = {k: np.zeros(s) for k, s in shapes.items()}
+            grads["theta"][::3] = 0.0
+            reference_adam(ref, grads, ref_state, t)
+            adam_step(params, flat(**grads), state)
+        assert state.step == 50
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k])
+        for moment in ("m", "v"):
+            assert np.array_equal(getattr(state, moment), np.concatenate(
+                [ref_state[moment][k].ravel() for k in shapes]))
+
+
+class TestParamVector:
+    def test_paper_size_layout(self):
+        model = HybridModel.init(512, CircuitSpec(num_qubits=4, q_depth=1), 0)
+        params = model.parameters()
+        assert params.vector.shape == (2066,)
+        assert params.vector.dtype == np.float64
+        assert list(params) == ["pre_w", "pre_b", "theta", "post_w", "post_b"]
+        assert [p.shape for p in params.values()] == \
+            [(4, 512), (4,), (4,), (2, 4), (2,)]
+
+    def test_views_share_one_vector(self):
+        model = tiny_model(n_features=4, q=2, seed=31)
+        params = model.parameters()
+        assert model.parameters() is params
+        for p in params.values():
+            assert p.base is params.vector
+        assert model.pre.weights.base is params.vector
+        assert model.qparams.base is params.vector
+        assert model.post.bias.base is params.vector
+        x = np.array([0.3, -0.2, 0.5, 0.1])
+        before = model.forward(x)
+        params["theta"][0] += 0.5
+        assert not np.array_equal(model.forward(x), before)
+        params.vector[:] = 0.0
+        assert np.max(np.abs(model.forward(x))) <= 1e-12
+
+    def test_gradients_share_one_vector(self):
+        model = tiny_model(n_features=4, q=2, seed=32)
+        _, grads, _ = loss_and_grad(model, [(np.ones(4), 1)], BP, CallLedger())
+        assert isinstance(grads, ParamVector)
+        assert grads.vector is not model.parameters().vector
+        assert grads.vector.shape == model.parameters().vector.shape
+        for k, g in grads.items():
+            assert g.base is grads.vector
+            assert g.shape == model.parameters()[k].shape
+
+    def test_constructor_copies_inputs_once(self):
+        pre = LinearLayer(np.ones((2, 3)), np.zeros(2))
+        post = LinearLayer(np.ones((2, 2)), np.zeros(2))
+        theta = np.full(2, 0.25)
+        model = HybridModel(pre=pre, qspec=CircuitSpec(num_qubits=2),
+                            qparams=theta, post=post)
+        vector = model.parameters().vector
+        assert vector.tolist() == [1.0] * 6 + [0.0] * 2 + [0.25] * 2 \
+            + [1.0] * 4 + [0.0] * 2
+        for given in (pre.weights, pre.bias, theta, post.weights, post.bias):
+            assert not np.shares_memory(given, vector)
+        theta[:] = 9.0
+        pre.weights[:] = 9.0
+        assert model.qparams.tolist() == [0.25, 0.25]
+        assert model.pre.weights.max() == 1.0
+        # the model's layers are new objects over the vector, not the inputs
+        assert model.pre is not pre and model.post is not post
 
 
 class TestTrain:
@@ -232,10 +329,9 @@ class TestTrain:
             opt = OptimizerState.for_params(params)
             _, grads, _ = loss_and_grad(model, [(x, 1)], method, CallLedger())
             adam_step(params, grads, opt)
-            results[method.kind] = {k: v.copy() for k, v in params.items()}
-        for k in results["backprop"]:
-            assert np.max(np.abs(results["backprop"][k]
-                                 - results["param-shift"][k])) <= 1e-8
+            results[method.kind] = params.vector.copy()
+        assert np.max(np.abs(results["backprop"]
+                             - results["param-shift"])) <= 1e-8
 
     def test_initial_loss_near_ln2(self):
         samples = make_samples(20, 8, 13)
@@ -245,7 +341,7 @@ class TestTrain:
         model.post.bias[:] = 0.0
         loss = np.mean([
             cross_entropy(model.forward(s.values),
-                          1 if s.label == "crack" else 0)
+                          1 if s.label == "crack" else 0)[0]
             for s in samples
         ])
         assert abs(loss - math.log(2)) <= 0.05
