@@ -22,7 +22,7 @@ from .circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
 from .circuit import build_from_angles, evaluate_angles  # noqa: F401
 from .errors import (CapabilityError, ReconciliationError, check_int,
                      check_real)
-from .statevector import adjoint
+from .statevector import evolve, z_rows, z_signs
 
 BACKPROP = "backprop"
 FINITE_DIFF = "finite-diff"
@@ -113,9 +113,10 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
 
     Call accounting per training image: 1 forward call for the base value,
     plus backward calls of 2*L*Q (param-shift), L*Q (forward finite
-    differences), 2*L*Q (central finite differences), or none (backprop,
-    which reuses the stored forward sweep). The shifted circuits run as
-    rows of one evaluate_rows call; in shot mode row i samples with seed
+    differences), 2*L*Q (central finite differences), or none (backprop:
+    its L*Q tangent rows ride the one forward sweep in evolve, and are
+    amplitudes, not <Z> readouts). The shifted circuits run as rows of one
+    evaluate_rows call; in shot mode row i samples with seed
     derive_seed(mode.seed, i).
     """
     q = spec.num_qubits
@@ -128,7 +129,9 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
                 "backprop needs exact statevector access; not available in shots mode"
             )
         ledger.add_forward(1)
-        z, deriv = adjoint(q, spec.q_depth, all_angles)
+        rows = evolve(q, spec.q_depth, all_angles[None], tangents=True)
+        # d<Z_k>/d angle_j = 2<psi|Z_k|d psi/d angle_j> = <psi|Z_k|row 1+j>
+        z, deriv = z_rows(rows[:1])[0], (rows[:1] * z_signs(q)) @ rows[1:].T
         return z, QNodeJacobian(d_params=deriv[:, q:], d_inputs=deriv[:, :q])
 
     f = evaluate_rows(spec, all_angles + _shift_rows(method, all_angles.size),

@@ -236,11 +236,12 @@ def _eval_data_source(args) -> dict:
 def cmd_gradcheck(args) -> int:
     with _usage():
         check_int("trials", args.trials, 1)
+        check_int("seed", args.seed, 0)
         check_real("tol_shift", args.tol_shift, 0)
         check_real("tol_fd", args.tol_fd, 0)
         spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
         fd = GradMethod(FINITE_DIFF, args.fd_delta, args.fd_variant)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 7)
+    rng = np.random.default_rng(args.seed)
     max_shift = 0.0
     max_fd = 0.0
     for _ in range(args.trials):
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fd-delta", type=float, default=GradMethod.fd_delta)
     p.add_argument("--fd-variant", choices=("forward", "central"),
                    default=GradMethod.fd_variant)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 

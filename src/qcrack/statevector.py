@@ -3,10 +3,11 @@
   * `evolve` is the batched kernel the training and evaluation paths run:
     a (B, 2^Q) stack of float64 amplitudes taken through the H wall, the
     Ry encoding and the CX-brick + Ry layers, with the angles given per
-    row; `adjoint` undoes the same gates in reverse for the Jacobian.
-    Every gate in use is a real matrix, so float64 loses nothing, and each
-    Ry uses `apply_gate`'s elementwise formula, so the amplitudes equal
-    the real parts of the register `apply_gate` evolves, bit for bit.
+    row; with `tangents` the same loop also carries one tangent row per
+    angle, for backprop's Jacobian in one forward sweep. Every gate in use
+    is a real matrix, so float64 loses nothing, and each Ry uses
+    `apply_gate`'s elementwise formula, so the amplitudes equal the real
+    parts of the register `apply_gate` evolves, bit for bit.
   * `StateVector` + `apply_gate` simulate one complex register gate by
     gate. No runtime path calls them: they are the single-register API
     and the reference the kernel is tested against.
@@ -236,10 +237,24 @@ def ry_pi(amps: np.ndarray, qubit: int) -> np.ndarray:
     return (v[:, :, ::-1] * _SWAP_SIGN).reshape(amps.shape)
 
 
-def evolve(num_qubits: int, q_depth: int, angles: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _ry_pi_table(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, sign) with amps[0, idx[k]] * sign[k] == ry_pi(amps, k)[0]."""
+    idx = np.arange(1 << num_qubits) ^ (1 << np.arange(num_qubits))[:, None]
+    return idx, -z_signs(num_qubits)
+
+
+def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
+           tangents: bool = False) -> np.ndarray:
     """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
     encoding, then q_depth blocks of a CX brick and one Ry per wire, with
-    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q)."""
+    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q).
+
+    With tangents and one row of angles, each Ry wall appends Ry(pi) of
+    the ket on each of its wires, and those rows take the rest of the
+    circuit with the ket. A wall's Ry gates commute and dRy(t)/dt =
+    Ry(pi)Ry(t)/2, so row 1+j is twice d|psi>/d angle_j: 1+L*Q rows in
+    all, and row 0 is the ket bit for bit."""
     check_qubits(num_qubits)
     angles = np.asarray(angles, dtype=float)
     n = (q_depth + 1) * num_qubits
@@ -261,35 +276,15 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray) -> np.ndarray:
         # c*(a0, a1) + s*(-a1, a0) rounds as apply_gate's c*a0 - s*a1,
         # s*a0 + c*a1: negation is exact and addition commutes
         amps = c[:, j] * amps + s[:, j] * ry_pi(amps, qubit)
+        if tangents and qubit == num_qubits - 1:
+            idx, sign = _ry_pi_table(num_qubits)
+            amps = np.concatenate([amps, amps[0, idx] * sign])
     return amps
 
 
 def z_rows(amps: np.ndarray) -> np.ndarray:
     """<Z> for every row and qubit of a (B, 2^Q) float64 stack."""
     return (amps * amps) @ z_signs(amps.shape[1].bit_length() - 1).T
-
-
-def adjoint(num_qubits: int, q_depth: int, angles: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode pass over evolve's circuit at one row of L*Q angles:
-    (z, d), one column of d per angle. The ket and its Q co-states Z_k|psi>
-    sweep backwards as Q+1 rows. dRy(t)/dt = Ry(pi)Ry(t)/2, so the column
-    of an Ry is <co-state|Ry(pi)|ket> just after the gate (the 1/2 cancels
-    the 2 of 2*Re<bra|dU|ket>)."""
-    q = num_qubits
-    ket = evolve(q, q_depth, angles[None])
-    rows = np.vstack([ket, ket * z_signs(q)])
-    inverse = np.argsort(brick_permutation(q))
-    deriv = np.empty((q, angles.size))
-    for j in reversed(range(angles.size)):
-        qubit = j % q
-        rotated = ry_pi(rows, qubit)
-        deriv[:, j] = rows[1:] @ rotated[0]
-        half = angles[j] / 2  # undo Ry(theta): rows <- Ry(-theta) rows
-        rows = math.cos(half) * rows - math.sin(half) * rotated
-        if qubit == 0 and j >= q:
-            rows = rows[:, inverse]
-    return z_rows(ket)[0], deriv
 
 
 def sampled_z_rows(amps: np.ndarray, shots: int, seeds) -> np.ndarray:

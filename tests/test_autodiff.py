@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import apply_dense
 from qcrack.autodiff import (CallLedger, GradMethod, _shift_rows, jacobian,
                              ledger_predict, ledger_reconcile,
                              value_and_jacobian)
-from qcrack.circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
-                            evaluate_angles)
+from qcrack.circuit import (CircuitSpec, QNodeInput, Shots, build_from_angles,
+                            encode_features, evaluate_angles)
 from qcrack.errors import CapabilityError, ReconciliationError
+from qcrack.statevector import evolve, z_rows, zero_state
 
 BP = GradMethod.backprop()
 PS = GradMethod.param_shift()
@@ -131,6 +133,41 @@ class TestJacobianValues:
         with pytest.raises(CapabilityError):
             jacobian(spec, QNodeInput(np.zeros(1), np.zeros(1)), BP,
                      CallLedger(), Shots(100, 1))
+
+
+def dense_z(spec, angles):
+    """Per-qubit <Z> from the dense oracle at already-encoded angles."""
+    q = spec.num_qubits
+    gates = build_from_angles(spec, angles[:q], angles[q:])
+    probs = np.abs(apply_dense(zero_state(q).amps, gates, q)) ** 2
+    return np.array([np.sum(probs * (1 - 2 * ((np.arange(1 << q) >> k) & 1)))
+                     for k in range(q)])
+
+
+class TestBackpropSweep:
+    """Backprop's one forward sweep (the ket plus a tangent row per angle)
+    against the plain kernel, the shift rule and the dense oracle."""
+
+    @pytest.mark.parametrize("q,d", [(1, 1), (2, 1), (3, 2), (4, 1), (4, 3),
+                                     (6, 2)])
+    def test_value_and_jacobian(self, q, d):
+        rng = np.random.default_rng(100 * q + d)
+        for _ in range(3):
+            spec, qin = random_case(rng, q=q, d=d)
+            angles = np.concatenate([encode_features(qin.features),
+                                     qin.params])
+            z, j_bp = value_and_jacobian(spec, qin, BP, CallLedger())
+            assert np.array_equal(z, z_rows(evolve(q, d, angles[None]))[0])
+            j_ps = jacobian(spec, qin, PS, CallLedger())
+            bp = np.hstack([j_bp.d_inputs, j_bp.d_params])
+            assert np.max(np.abs(np.hstack([j_ps.d_inputs, j_ps.d_params])
+                                 - bp)) <= 1e-10
+            # the oracle's derivative from two shifted dense evaluations
+            eye = 0.5 * math.pi * np.eye(angles.size)
+            oracle = np.array([0.5 * (dense_z(spec, angles + e)
+                                      - dense_z(spec, angles - e))
+                               for e in eye]).T
+            assert np.max(np.abs(oracle - bp)) <= 1e-10
 
 
 class TestCallCounting:

@@ -343,6 +343,7 @@ class TestFlagValidation:
         ["gradcheck", "--trials", "-3", "--json"],
         ["gradcheck", "--trials", "1", "--tol-shift", "nan", "--json"],
         ["gradcheck", "--trials", "1", "--tol-fd", "-1"],
+        ["gradcheck", "--seed", "-1", "--trials", "1"],
         ["ledger", "5", "5", "0", "4"],
         ["ledger", "5", "5", "1", "4"],
         ["estimate", "--profile", "ibmq_lima", "--overhead", "inf",

@@ -232,6 +232,18 @@ class TestKernel:
                 1 << q) >> k) & 1))) for k in range(q)]
             assert np.max(np.abs(got_z - oracle_z)) <= 1e-12
 
+    @pytest.mark.parametrize("q,depth", [(1, 1), (3, 2), (4, 1), (5, 3)])
+    def test_tangent_rows(self, q, depth):
+        # Ry(t + pi) = Ry(pi)Ry(t), so tangent row 1+j is the circuit with
+        # angle j shifted by pi, and row 0 is the plain kernel's row
+        angles = np.random.default_rng(q).uniform(
+            -math.pi, math.pi, size=(1, q * (depth + 1)))
+        rows = evolve(q, depth, angles, tangents=True)
+        assert rows.shape == (1 + angles.size, 1 << q)
+        assert np.array_equal(rows[:1], evolve(q, depth, angles))
+        shifted = evolve(q, depth, angles + math.pi * np.eye(angles.size))
+        assert np.max(np.abs(rows[1:] - shifted)) <= 1e-12
+
     def test_sampled_rows_match_sample(self):
         angles = np.random.default_rng(3).uniform(-3, 3, size=(5, 6))
         amps = evolve(3, 1, angles)
