@@ -10,7 +10,8 @@ on an L-layer, Q-qubit circuit:
 
 The empirical half trains a real model for one epoch on synthetic data;
 train() checks that the ledger agrees exactly and raises
-ReconciliationError otherwise, so a mismatch exits 1.
+ReconciliationError otherwise, so a mismatch exits 1. The analytic table
+alone is `qcrack ledger T V L Q`.
 """
 
 import argparse
@@ -42,8 +43,6 @@ def main() -> int:
     ap.add_argument("--val", type=int, default=184, metavar="V")
     ap.add_argument("--qubits", type=int, default=4)
     ap.add_argument("--q-depth", type=int, default=1)
-    ap.add_argument("--skip-empirical", action="store_true",
-                    help="only print the analytic table")
     args = ap.parse_args()
 
     spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
@@ -52,9 +51,6 @@ def main() -> int:
     print(f"{'method':<12} {'predicted':>10} {'measured':>10}")
     for method in METHODS:
         predicted = ledger_predict(T, V, L, Q, method)
-        if args.skip_empirical:
-            print(f"{method.kind:<12} {predicted:>10,}")
-            continue
         tr = random_samples(T, 16, seed=1)
         va = random_samples(V, 16, seed=2)
         model = HybridModel.init(16, spec, seed=3)

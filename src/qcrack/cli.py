@@ -33,7 +33,9 @@ from .model import (EpochMetrics, HybridModel, evaluate_test,
 # ---------------------------------------------------------------------------
 # Run configuration
 
-_SOURCES = ("synthetic", "dir", "features")
+# The keys each data source takes, in the order its loader takes them.
+_SOURCES = {"synthetic": ("n_crack", "n_clean", "gen_seed"),
+            "dir": ("path", "manifest"), "features": ("path",)}
 
 
 @dataclass
@@ -94,20 +96,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         split = SplitConfig(doc.get("split", (0.7, 0.15, 0.15)), seed)
     if mode is not None and method.kind == BACKPROP:
         raise ConfigError("backprop is not available in shots mode")
-    data = doc.get("data", {"source": "synthetic", "n_crack": 50, "n_clean": 50})
-    if not isinstance(data, dict) or data.get("source") not in _SOURCES:
-        raise ConfigError(f"data.source must be one of {_SOURCES}")
-    if data["source"] == "synthetic":
-        data = {**data, "gen_seed": data.get("gen_seed", data_mod.GEN_SEED)}
-        with _usage("data."):
-            for key in ("n_crack", "n_clean", "gen_seed"):
-                check_int(key, data.get(key), 0)
-    elif data["source"] == "dir":
-        for key in ("path", "manifest"):
-            if not isinstance(data.get(key), str):
-                raise ConfigError(f"data.{key} must be a path string")
-    elif not isinstance(data.get("path"), str):
-        raise ConfigError("data.path must be a path string")
+    data = check_data(doc.get("data", {"source": "synthetic", "n_crack": 50,
+                                       "n_clean": 50}))
     out_dir = doc.get("out_dir", "runs/run")
     if not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a path string")
@@ -115,16 +105,33 @@ def parse_run_config(doc: dict) -> RunConfig:
                      mode=mode, split=split, data=data, out_dir=Path(out_dir))
 
 
-def _load_samples(data: dict) -> list:
-    source = data["source"]
+def check_data(data) -> dict:
+    """Validate a data object, from a config or from `eval`'s flags, against
+    _SOURCES and fill in the synthetic generator's default gen_seed."""
+    source = data.get("source") if isinstance(data, dict) else None
+    if not isinstance(source, str) or source not in _SOURCES:
+        raise ConfigError(f"data.source must be one of {tuple(_SOURCES)}")
+    unknown = set(data) - {"source", *_SOURCES[source]}
+    if unknown:
+        raise ConfigError(f"unknown data keys: {sorted(unknown)}")
     if source == "synthetic":
-        patches = data_mod.generate_synthetic(
-            data["n_crack"], data["n_clean"], data["gen_seed"])
-        return [data_mod.extract_features(p) for p in patches]
-    if source == "dir":
-        patches = data_mod.load_dataset(data["path"], data["manifest"])
-        return [data_mod.extract_features(p) for p in patches]
-    return data_mod.import_features(data["path"])
+        data = {**data, "gen_seed": data.get("gen_seed", data_mod.GEN_SEED)}
+    for key in _SOURCES[source]:
+        if source == "synthetic":
+            with _usage("data."):
+                check_int(key, data.get(key), 0)
+        elif not isinstance(data.get(key), str):
+            raise ConfigError(f"data.{key} must be a path string")
+    return data
+
+
+def _load_samples(data: dict) -> list:
+    args = [data[key] for key in _SOURCES[data["source"]]]
+    if data["source"] == "features":
+        return data_mod.import_features(*args)
+    load = (data_mod.generate_synthetic if data["source"] == "synthetic"
+            else data_mod.load_dataset)
+    return [data_mod.extract_features(p) for p in load(*args)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +200,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    flags = {"source": "dir", "path": args.data_dir, "manifest": args.manifest}
+    if args.features is not None:
+        flags.update(source="features", path=args.features)
+    data = check_data({k: v for k, v in flags.items() if v is not None})
     model, seed = load_checkpoint(args.checkpoint)
     with _usage():
         mode = None if args.shots is None else Shots(
             args.shots, seed if args.seed is None else args.seed)
-    source = _eval_data_source(args)
-    samples = _load_samples(source)
+    samples = _load_samples(data)
     if not samples:
-        where = source.get("manifest", source["path"])
+        where = data.get("manifest", data["path"])
         raise ConfigError(f"nothing to evaluate: {where} lists no samples")
     if len(samples[0].values) != model.pre.in_dim:
         raise ConfigError(f"checkpoint expects {model.pre.in_dim} features, "
@@ -222,17 +232,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _eval_data_source(args) -> dict:
-    if args.features:
-        return {"source": "features", "path": args.features}
-    if args.data_dir:
-        if not args.manifest:
-            raise ConfigError("--data-dir requires --manifest")
-        return {"source": "dir", "path": args.data_dir,
-                "manifest": args.manifest}
-    raise ConfigError("eval needs --features or --data-dir/--manifest")
-
-
 def cmd_gradcheck(args) -> int:
     with _usage():
         check_int("trials", args.trials, 1)
@@ -240,25 +239,20 @@ def cmd_gradcheck(args) -> int:
         check_real("tol_shift", args.tol_shift, 0)
         check_real("tol_fd", args.tol_fd, 0)
         spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
-        fd = GradMethod(FINITE_DIFF, args.fd_delta, args.fd_variant)
+        methods = (GradMethod.backprop(), GradMethod.param_shift(),
+                   GradMethod(FINITE_DIFF, args.fd_delta, args.fd_variant))
     rng = np.random.default_rng(args.seed)
-    max_shift = 0.0
-    max_fd = 0.0
+    max_shift = max_fd = 0.0
     for _ in range(args.trials):
         qinput = QNodeInput(
             features=rng.normal(0.0, 1.0, spec.num_qubits),
             params=rng.uniform(-np.pi, np.pi, spec.num_params),
         )
         ledger = CallLedger()
-        j_bp = jacobian(spec, qinput, GradMethod.backprop(), ledger)
-        j_ps = jacobian(spec, qinput, GradMethod.param_shift(), ledger)
-        j_fd = jacobian(spec, qinput, fd, ledger)
-        max_shift = max(max_shift,
-                        float(np.max(np.abs(j_ps.d_params - j_bp.d_params))),
-                        float(np.max(np.abs(j_ps.d_inputs - j_bp.d_inputs))))
-        max_fd = max(max_fd,
-                     float(np.max(np.abs(j_fd.d_params - j_bp.d_params))),
-                     float(np.max(np.abs(j_fd.d_inputs - j_bp.d_inputs))))
+        bp, ps, fd = [np.hstack([j.d_params, j.d_inputs]) for j in
+                      (jacobian(spec, qinput, m, ledger) for m in methods)]
+        max_shift = max(max_shift, float(np.max(np.abs(ps - bp))))
+        max_fd = max(max_fd, float(np.max(np.abs(fd - bp))))
     ok_shift = max_shift <= args.tol_shift
     ok_fd = max_fd <= args.tol_fd
     doc = {
@@ -372,8 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", default=None, help="feature CSV")
-    p.add_argument("--data-dir", default=None, help="patch directory")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--features", default=None, help="feature CSV")
+    source.add_argument("--data-dir", default=None,
+                        help="patch directory (with --manifest)")
     p.add_argument("--manifest", default=None, help="manifest CSV")
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -263,11 +263,13 @@ def import_features(path) -> list[FeatureSample]:
                     f"got {len(row) - 2}"
                 )
             try:
-                values = np.array([float(v) for v in row[2:]])
-            except ValueError as exc:
+                samples.append(FeatureSample(
+                    id=row[0], label=row[1], source="imported",
+                    values=[float(v) for v in row[2:]]))
+            except DataError as exc:  # bad label or non-finite value
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            except ValueError as exc:  # a value float() cannot parse
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            samples.append(FeatureSample(id=row[0], label=row[1],
-                                         values=values, source="imported"))
     return samples
 
 

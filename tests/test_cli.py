@@ -321,6 +321,56 @@ class TestEvalCommand:
         assert str(bad) in err and "malformed checkpoint" in err
 
 
+class TestDataSources:
+    """train and eval read their data through one table of sources."""
+
+    def test_dir_round_trip(self, capsys, tmp_path):
+        patches = tmp_path / "p"
+        assert run(capsys, "gen", "4", "4", "--out", str(patches))[0] == 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "circuit": {"num_qubits": 2, "q_depth": 1}, "epochs": 1,
+            "split": [0.5, 0.25, 0.25], "out_dir": str(tmp_path / "run"),
+            "data": {"source": "dir", "path": str(patches),
+                     "manifest": str(patches / "manifest.csv")}}))
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        code, out, _ = run(capsys, "eval", "--checkpoint",
+                           str(tmp_path / "run" / "checkpoint.json"),
+                           "--data-dir", str(patches), "--manifest",
+                           str(patches / "manifest.csv"), "--json")
+        assert code == 0
+        assert sum(json.loads(out)["confusion_matrix"].values()) == 8
+
+    @pytest.mark.parametrize("data,extra", [
+        ({"source": "synthetic", "n_crack": 2, "n_clean": 2, "seed_gen": 7},
+         "seed_gen"),
+        ({"source": "dir", "path": "p", "manifest": "p/m.csv", "shuffle": 1},
+         "shuffle"),
+        ({"source": "features", "path": "f.csv", "manifest": "m.csv"},
+         "manifest"),
+    ])
+    def test_unknown_data_key_exits_2(self, capsys, tmp_path, feature_csv,
+                                      data, extra):
+        cfg = train_config(tmp_path, feature_csv, data=data)
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2 and out == "" and not (tmp_path / "run").exists()
+        assert f"config error: unknown data keys: ['{extra}']" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--features", "{features}", "--data-dir", "{tmp}", "--manifest",
+         "{features}"],
+        ["--features", "{features}", "--data-dir", "{tmp}"],
+        ["--manifest", "{features}"],
+        [],
+    ])
+    def test_eval_needs_exactly_one_source_flag(self, capsys, tmp_path,
+                                                feature_csv, argv):
+        argv = [a.format(tmp=tmp_path, features=feature_csv) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(tmp_path / "ckpt.json"), *argv])
+        assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
+
+
 class TestFlagValidation:
     """A flag value the package rejects is a usage error: exit 2, before
     any work."""
@@ -344,6 +394,10 @@ class TestFlagValidation:
         ["gradcheck", "--trials", "1", "--tol-shift", "nan", "--json"],
         ["gradcheck", "--trials", "1", "--tol-fd", "-1"],
         ["gradcheck", "--seed", "-1", "--trials", "1"],
+        ["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
+         "{features}", "--manifest", "{features}", "--out", "{tmp}/patches"],
+        ["eval", "--checkpoint", "{tmp}/ckpt.json", "--data-dir", "{tmp}",
+         "--out", "{tmp}/patches"],
         ["ledger", "5", "5", "0", "4"],
         ["ledger", "5", "5", "1", "4"],
         ["estimate", "--profile", "ibmq_lima", "--overhead", "inf",

@@ -267,5 +267,12 @@ class TestImportFeatures:
 
     def test_bad_label(self, tmp_path):
         (tmp_path / "f.csv").write_text("a,cracked,1,2,3\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=":1"):
             import_features(tmp_path / "f.csv")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_row_names_line(self, tmp_path, value):
+        path = tmp_path / "f.csv"
+        path.write_text(f"a,crack,1,2,3\nb,no_crack,1,{value},3\n")
+        with pytest.raises(DataError, match=":2: sample b"):
+            import_features(path)
