@@ -112,10 +112,10 @@ def read_pgm(path) -> np.ndarray:
         tokens.append(data[start:pos])
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise FormatError(f"{path}: not a binary PGM (P5) file")
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed PGM header") from exc
+    # ASCII digits only: int() also takes '+4', '-4' and '4_0'
+    width, height, maxval = (int(t) if t.isdigit() else 0 for t in tokens[1:])
+    if min(width, height, maxval) < 1:
+        raise FormatError(f"{path}: malformed PGM header")
     if maxval != 255:
         raise FormatError(f"{path}: expected maxval 255, got {maxval}")
     pos += 1  # single whitespace byte after maxval
@@ -136,14 +136,20 @@ def load_dataset(directory, manifest) -> list[Patch]:
                 f"{manifest}: manifest header must be 'filename,label'"
             )
         for row in reader:
-            fname, label = row["filename"], row["label"]
+            where = f"{manifest}:{reader.line_num}"
+            if None in row:  # DictReader keys surplus fields by None
+                raise FormatError(f"{where}: expected filename,label only")
+            fname = row["filename"]
             pixels = read_pgm(directory / fname)
             if pixels.shape != (PATCH_SIZE, PATCH_SIZE):
                 raise FormatError(
                     f"{fname}: expected {PATCH_SIZE}x{PATCH_SIZE}, "
                     f"got {pixels.shape[1]}x{pixels.shape[0]}"
                 )
-            patches.append(Patch(id=Path(fname).stem, label=label, pixels=pixels))
+            try:
+                patches.append(Patch(Path(fname).stem, row["label"], pixels))
+            except DataError as exc:  # a label outside LABELS, or none
+                raise DataError(f"{where}: {exc}") from exc
     if not patches:
         warnings.warn(f"manifest {manifest} lists no patches")
     return patches
@@ -157,14 +163,16 @@ def _base_texture(rng: np.random.Generator) -> np.ndarray:
     img = np.full((PATCH_SIZE, PATCH_SIZE), 128.0)
     for grid, amp in ((7, 14.0), (28, 8.0), (56, 5.0)):
         k = PATCH_SIZE // grid
-        img += np.kron(rng.normal(0.0, amp, (grid, grid)), np.ones((k, k)))
+        img += rng.normal(0.0, amp, (grid, grid)).repeat(k, 0).repeat(k, 1)
     img += rng.normal(0.0, 3.0, (PATCH_SIZE, PATCH_SIZE))
     for _ in range(rng.poisson(1.5)):
         cy, cx = rng.integers(8, PATCH_SIZE - 8, size=2)
-        radius = int(rng.integers(2, 6))
+        r = int(rng.integers(2, 6))
         depth = float(rng.integers(30, 70))
-        yy, xx = np.ogrid[:PATCH_SIZE, :PATCH_SIZE]
-        img[(yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2] -= depth
+        # the pore's (2r+1)^2 window lies inside: cy, cx in [8, 216), r <= 5
+        window = img[cy - r:cy + r + 1, cx - r:cx + r + 1]
+        yy, xx = np.ogrid[-r:r + 1, -r:r + 1]
+        window[yy ** 2 + xx ** 2 <= r ** 2] -= depth
     return img
 
 
@@ -175,18 +183,16 @@ def _draw_crack(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     (vertical jumps are filled column by column) and spans all 224 columns
     of the walk axis.
     """
-    mask = np.zeros_like(img, dtype=bool)
     width = int(rng.integers(1, 3))  # 1 or 2 px
     depth = float(rng.integers(60, 110))
     transpose = bool(rng.integers(0, 2))  # vertical crack: work transposed
-    wmask = mask.T if transpose else mask
-    y = int(rng.integers(20, PATCH_SIZE - 20))
-    prev = y
-    for x in range(PATCH_SIZE):
-        y = int(np.clip(y + rng.integers(-1, 2), 1, PATCH_SIZE - 2))
-        lo, hi = min(prev, y), max(prev, y)
-        wmask[lo:hi + width, x] = True
-        prev = y
+    ys = [int(rng.integers(20, PATCH_SIZE - 20))]
+    for step in rng.integers(-1, 2, size=PATCH_SIZE).tolist():
+        ys.append(min(max(ys[-1] + step, 1), PATCH_SIZE - 2))
+    prev, ys = np.array(ys[:-1]), np.array(ys[1:])
+    rows = np.arange(PATCH_SIZE)[:, None]  # column x: rows [min, max + width)
+    mask = (rows >= np.minimum(prev, ys)) & (rows < np.maximum(prev, ys) + width)
+    mask = mask.T if transpose else mask
     img[mask] -= depth
     return mask
 
@@ -219,13 +225,17 @@ def extract_features(patch: Patch) -> FeatureSample:
     Per cell, in order: 4 gradient-orientation histogram bins (magnitude
     weighted, averaged over the cell), mean gradient magnitude, then
     min/mean/max intensity. Cells are laid out row-major. Intensities are
-    scaled to [0, 1] so all features stay O(1).
+    scaled to [0, 1] so all features stay O(1). The orientation is
+    `np.arctan2(gy, gx) % math.pi` bit for bit, folded without np.remainder:
+    pi goes to 0.0 and (-pi, 0) to a + pi.
     """
     img = patch.pixels.astype(float) / 255.0
     gy, gx = np.gradient(img)
     mag = np.hypot(gx, gy)
-    ori = np.arctan2(gy, gx) % math.pi  # unsigned orientation
-    bins = np.minimum((ori / (math.pi / _ORI_BINS)).astype(int), _ORI_BINS - 1)
+    ori = np.arctan2(gy, gx)  # unsigned orientation, folded into [0, pi)
+    ori[ori == math.pi] = 0.0  # fmod(pi, pi) is 0
+    ori += math.pi * (ori < 0)  # (-pi, 0) -> a + pi; a + 0.0 is a
+    bins = np.minimum((ori / (math.pi / _ORI_BINS)).astype(np.int8), _ORI_BINS - 1)
 
     def cells(a: np.ndarray) -> np.ndarray:
         # (8, 8, 28, 28): cell-row, cell-col, pixels
@@ -236,7 +246,7 @@ def extract_features(patch: Patch) -> FeatureSample:
     c_bins = cells(bins)
     feats = np.empty((_CELLS, _CELLS, 8))
     for b in range(_ORI_BINS):
-        feats[:, :, b] = np.mean(np.where(c_bins == b, c_mag, 0.0), axis=(2, 3))
+        feats[:, :, b] = np.mean(c_mag * (c_bins == b), axis=(2, 3))
     feats[:, :, 4] = c_mag.mean(axis=(2, 3))
     feats[:, :, 5] = c_img.min(axis=(2, 3))
     feats[:, :, 6] = c_img.mean(axis=(2, 3))

@@ -1,10 +1,13 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcrack.data import (FeatureSample, Patch, SplitConfig, _draw_crack,
-                         extract_features, generate_synthetic,
+from qcrack.data import (PATCH_SIZE, FeatureSample, Patch, SplitConfig,
+                         _draw_crack, extract_features, generate_synthetic,
                          import_features, load_dataset, read_pgm, split,
                          split_record, write_patches, write_pgm)
 from qcrack.errors import DataError, FormatError
@@ -178,6 +181,101 @@ class TestFeatures:
             assert np.all(np.isfinite(extract_features(p).values))
 
 
+def reference_crack(img, rng):
+    """The crack walk as first written: one scalar draw and one slice write
+    per column. Returns the mask and the lowest and highest walk rows."""
+    mask = np.zeros_like(img, dtype=bool)
+    width = int(rng.integers(1, 3))
+    depth = float(rng.integers(60, 110))
+    wmask = mask.T if rng.integers(0, 2) else mask
+    y = int(rng.integers(20, PATCH_SIZE - 20))
+    prev, low, high = y, y, y
+    for x in range(PATCH_SIZE):
+        y = int(np.clip(y + rng.integers(-1, 2), 1, PATCH_SIZE - 2))
+        wmask[min(prev, y):max(prev, y) + width, x] = True
+        prev, low, high = y, min(low, y), max(high, y)
+    img[mask] -= depth
+    return mask, low, high
+
+
+def reference_features(pixels):
+    """extract_features as first written: `% math.pi`, int bins and
+    np.where masks. The fast fold must match it bit for bit."""
+    img = pixels.astype(float) / 255.0
+    gy, gx = np.gradient(img)
+    mag = np.hypot(gx, gy)
+    ori = np.arctan2(gy, gx) % math.pi
+    bins = np.minimum((ori / (math.pi / 4)).astype(int), 3)
+    cells = lambda a: a.reshape(8, 28, 8, 28).transpose(0, 2, 1, 3)
+    c_img, c_mag, c_bins = cells(img), cells(mag), cells(bins)
+    feats = np.empty((8, 8, 8))
+    for b in range(4):
+        feats[:, :, b] = np.mean(np.where(c_bins == b, c_mag, 0.0),
+                                 axis=(2, 3))
+    feats[:, :, 4] = c_mag.mean(axis=(2, 3))
+    feats[:, :, 5] = c_img.min(axis=(2, 3))
+    feats[:, :, 6] = c_img.mean(axis=(2, 3))
+    feats[:, :, 7] = c_img.max(axis=(2, 3))
+    return feats.reshape(-1)
+
+
+def edge_case_patches():
+    """Patches whose gradients sit on bin edges: gx == 0, gy == 0 and
+    |gx| == |gy| (arctan2 of exactly 0, pi/4, pi/2, 3pi/4 and pi)."""
+    y, x = np.mgrid[:PATCH_SIZE, :PATCH_SIZE]
+    rng = np.random.default_rng(7)
+    cases = {"zeros": np.zeros_like(x), "full": np.full_like(x, 255)}
+    for name, axis in (("left", x), ("up", y), ("right", PATCH_SIZE - 1 - x),
+                       ("down", PATCH_SIZE - 1 - y)):
+        cases[f"step-{name}"] = np.where(axis < 112, 40, 200)
+    for name, ramp in (("x+y", x + y), ("x-y", x - y), ("2x+y", 2 * x + y)):
+        cases[f"ramp-{name}"] = ramp % 256
+    for i in range(3):
+        cases[f"random-{i}"] = rng.integers(0, 256, x.shape)
+        cases[f"narrow-{i}"] = rng.integers(100, 104, x.shape)  # dense ties
+    return {name: a.astype(np.uint8) for name, a in cases.items()}
+
+
+class TestDataLayerPinned:
+    """The fast data layer against the formulas it replaced, bit for bit."""
+
+    # the SHA-256 of generate_synthetic(3, 3, 1234)'s pixels, in order
+    SHA_3_3_1234 = ("f49d9ea43953764a98ac94272f8ec9dc"
+                    "bfe398b346eb3b11a10fad5f9cb8c8e6")
+
+    def test_generated_pixels_pinned(self):
+        digest = hashlib.sha256(b"".join(
+            p.pixels.tobytes() for p in generate_synthetic(3, 3, 1234)))
+        assert digest.hexdigest() == self.SHA_3_3_1234
+
+    def test_crack_walk_matches_scalar_draws(self):
+        # seeds 25 and 120 reach row 1, seeds 455 and 842 row 222
+        lows, highs = [], []
+        for seed in [*range(40), 25, 120, 455, 842]:
+            rng_a, rng_b = (np.random.default_rng(seed) for _ in range(2))
+            img_a = np.full((PATCH_SIZE, PATCH_SIZE), 128.0)
+            img_b = img_a.copy()
+            want, low, high = reference_crack(img_a, rng_a)
+            assert np.array_equal(_draw_crack(img_b, rng_b), want), seed
+            assert np.array_equal(img_b, img_a), seed
+            assert rng_b.integers(2 ** 62) == rng_a.integers(2 ** 62), seed
+            lows.append(low)
+            highs.append(high)
+        assert min(lows) == 1 and max(highs) == PATCH_SIZE - 2  # clip bites
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 8191])
+    def test_features_match_remainder_formula(self, seed):
+        for p in generate_synthetic(2, 2, seed):
+            got = extract_features(p).values
+            assert got.tobytes() == reference_features(p.pixels).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(edge_case_patches()))
+    def test_edge_cases_match_remainder_formula(self, name):
+        pixels = edge_case_patches()[name]
+        got = extract_features(Patch(name, "crack", pixels)).values
+        assert got.tobytes() == reference_features(pixels).tobytes()
+
+
 class TestPgmIO:
     def test_round_trip(self, tmp_path):
         pixels = np.random.default_rng(1).integers(
@@ -225,6 +323,30 @@ class TestPgmIO:
         write_pgm(tmp_path / "bad.pgm", np.zeros((225, 224), dtype=np.uint8))
         (tmp_path / "m.csv").write_text("filename,label\nbad.pgm,crack\n")
         with pytest.raises(FormatError, match="bad.pgm"):
+            load_dataset(tmp_path, tmp_path / "m.csv")
+
+    @pytest.mark.parametrize("header", [b"P5\n-4 -4\n255\n",
+                                        b"P5\n4_0 1\n255\n",
+                                        b"P5\n+4 1\n255\n",
+                                        b"P5\n0 4\n255\n",
+                                        b"P5\n4 1\n+255\n"])
+    def test_bad_header_numbers(self, tmp_path, header):
+        # int() takes '+4' and '4_0' (as 40); only ASCII digits >= 1 pass
+        (tmp_path / "bad.pgm").write_bytes(header + bytes(40))
+        with pytest.raises(FormatError, match="bad.pgm"):
+            read_pgm(tmp_path / "bad.pgm")
+
+    @pytest.mark.parametrize("rows, error, match", [
+        ("clean_00000.pgm,no_crack\nclean_00000.pgm,clean\n", DataError,
+         r"m\.csv:3: label .*'clean'"),
+        ("clean_00000.pgm\n", DataError, r"m\.csv:2: label .*None"),
+        ("clean_00000.pgm,no_crack,extra\n", FormatError,
+         r"m\.csv:2: expected filename,label only"),
+    ])
+    def test_bad_manifest_row_names_line(self, tmp_path, rows, error, match):
+        write_patches(generate_synthetic(0, 1, seed=2), tmp_path)
+        (tmp_path / "m.csv").write_text("filename,label\n" + rows)
+        with pytest.raises(error, match=match):
             load_dataset(tmp_path, tmp_path / "m.csv")
 
     def test_bad_magic(self, tmp_path):
