@@ -37,31 +37,24 @@ from .model import (EpochMetrics, HybridModel, evaluate_test,
 _SOURCES = {"synthetic": ("n_crack", "n_clean", "gen_seed"),
             "dir": ("path", "manifest"), "features": ("path",)}
 
+# Every train config key with its default, in the order run_config.json
+# records them.
+_DEFAULTS = {
+    "circuit": {}, "method": BACKPROP, "fd_delta": GradMethod.fd_delta,
+    "fd_variant": GradMethod.fd_variant, "epochs": 1, "seed": 0,
+    "shots": None, "split": (0.7, 0.15, 0.15),
+    "data": {"source": "synthetic", "n_crack": 50, "n_clean": 50},
+    "out_dir": "runs/run",
+}
+
 
 @dataclass
 class RunConfig:
     circuit: CircuitSpec
     method: GradMethod
-    epochs: int
-    seed: int
     mode: Shots | None
     split: SplitConfig
-    data: dict
-    out_dir: Path
-
-    def to_dict(self) -> dict:
-        return {
-            "circuit": asdict(self.circuit),
-            "method": self.method.kind,
-            "fd_delta": self.method.fd_delta,
-            "fd_variant": self.method.fd_variant,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "shots": self.mode.shots if self.mode else None,
-            "split": list(self.split.ratios),
-            "data": self.data,
-            "out_dir": str(self.out_dir),
-        }
+    doc: dict  # every value the run uses, as run_config.json records it
 
 
 @contextmanager
@@ -75,34 +68,30 @@ def _usage(prefix: str = ""):
 
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate a train config document before any work starts and fill in
-    its defaults, so that to_dict() records every value the run uses."""
+    its defaults from _DEFAULTS, so that RunConfig.doc records every value
+    the run uses."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"circuit", "method", "fd_delta", "fd_variant", "epochs", "seed",
-             "shots", "split", "data", "out_dir"}
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    epochs, seed = doc.get("epochs", 1), doc.get("seed", 0)
-    fd = {key: doc[key] for key in ("fd_delta", "fd_variant") if key in doc}
+    d = {**_DEFAULTS, **doc}
     with _usage("circuit: "):
-        circuit = CircuitSpec.from_dict(doc.get("circuit", {}))
+        circuit = CircuitSpec.from_dict(d["circuit"])
     with _usage():
-        check_int("epochs", epochs, 0)
-        check_int("seed", seed, 0)
-        method = GradMethod(doc.get("method", BACKPROP), **fd)
-        shots = doc.get("shots")
-        mode = None if shots is None else Shots(shots, seed)
-        split = SplitConfig(doc.get("split", (0.7, 0.15, 0.15)), seed)
+        check_int("epochs", d["epochs"], 0)
+        check_int("seed", d["seed"], 0)
+        method = GradMethod(d["method"], d["fd_delta"], d["fd_variant"])
+        mode = None if d["shots"] is None else Shots(d["shots"], d["seed"])
+        split = SplitConfig(d["split"], d["seed"])
     if mode is not None and method.kind == BACKPROP:
         raise ConfigError("backprop is not available in shots mode")
-    data = check_data(doc.get("data", {"source": "synthetic", "n_crack": 50,
-                                       "n_clean": 50}))
-    out_dir = doc.get("out_dir", "runs/run")
-    if not isinstance(out_dir, str):
+    d.update(circuit=asdict(circuit), split=list(split.ratios),
+             data=check_data(d["data"]))
+    if not isinstance(d["out_dir"], str):
         raise ConfigError("out_dir must be a path string")
-    return RunConfig(circuit=circuit, method=method, epochs=epochs, seed=seed,
-                     mode=mode, split=split, data=data, out_dir=Path(out_dir))
+    d["out_dir"] = str(Path(d["out_dir"]))
+    return RunConfig(circuit, method, mode, split, d)
 
 
 def check_data(data) -> dict:
@@ -139,42 +128,42 @@ def _load_samples(data: dict) -> list:
 
 def cmd_train(args) -> int:
     doc = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out_dir"] = args.out
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    if isinstance(doc, dict):  # else parse_run_config reports it
+        doc.update((k, v) for k, v in overrides.items() if v is not None)
     cfg = parse_run_config(doc)
+    epochs, seed = cfg.doc["epochs"], cfg.doc["seed"]
 
-    samples = _load_samples(cfg.data)
+    samples = _load_samples(cfg.doc["data"])
     train_set, val_set, test_set = data_mod.split(samples, cfg.split)
     n_features = len(samples[0].values) if samples else 0
     if not train_set:
         raise ConfigError("training split is empty")
 
-    model = HybridModel.init(n_features, cfg.circuit, cfg.seed)
-    out = cfg.out_dir
+    model = HybridModel.init(n_features, cfg.circuit, seed)
+    out = Path(cfg.doc["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        model, metrics, ledger = train(model, train_set, val_set, cfg.epochs,
-                                       cfg.method, cfg.seed, cfg.mode)
+        model, metrics, ledger = train(model, train_set, val_set, epochs,
+                                       cfg.method, seed, cfg.mode)
     except ReconciliationError as exc:
         write_atomic(out / "report.json", json.dumps(
-            {"config": cfg.to_dict(), "reconcile": exc.report}, indent=2))
+            {"config": cfg.doc, "reconcile": exc.report}, indent=2))
         raise
     report = evaluate_test(model, test_set, cfg.mode) if test_set else None
     wall_s = time.perf_counter() - t0
 
-    write_atomic(out / "run_config.json", json.dumps(cfg.to_dict(), indent=2))
+    write_atomic(out / "run_config.json", json.dumps(cfg.doc, indent=2))
     write_atomic(out / "split.json",
                  data_mod.split_record((train_set, val_set, test_set), cfg.split))
     rows = [EpochMetrics.CSV_HEADER] + [m.csv_row() for m in metrics]
     write_atomic(out / "metrics.csv", "\n".join(rows) + "\n")
-    save_checkpoint(out / "checkpoint.json", model, cfg.seed)
+    save_checkpoint(out / "checkpoint.json", model, seed)
 
     predicted = ledger.reconcile["predicted"]
     doc_out = {
-        "config": cfg.to_dict(),
+        "config": cfg.doc,
         "ledger": ledger.to_dict(method=cfg.method.kind, predicted=predicted),
         "reconcile": ledger.reconcile,
         "wall_seconds": wall_s,
@@ -188,7 +177,7 @@ def cmd_train(args) -> int:
     if args.json:
         print(json.dumps(doc_out))
     else:
-        print(f"trained {cfg.epochs} epochs with {cfg.method.kind} "
+        print(f"trained {epochs} epochs with {cfg.method.kind} "
               f"(T={len(train_set)}, V={len(val_set)}, "
               f"L={cfg.circuit.num_layers}, Q={cfg.circuit.num_qubits})")
         if report is not None:

@@ -30,6 +30,17 @@ _CELL = PATCH_SIZE // _CELLS    # 28 px per cell
 _ORI_BINS = 4
 
 
+def _check_label(label) -> None:
+    if label not in LABELS:
+        raise DataError(f"label must be one of {LABELS}, got {label!r}")
+
+
+def _check_new_id(seen: dict, sid: str, line: int) -> None:
+    if sid in seen:
+        raise DataError(f"duplicate id {sid!r} (first at line {seen[sid]})")
+    seen[sid] = line
+
+
 @dataclass
 class Patch:
     id: str
@@ -37,8 +48,7 @@ class Patch:
     pixels: np.ndarray  # (224, 224) uint8
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise DataError(f"label must be one of {LABELS}, got {self.label!r}")
+        _check_label(self.label)
         if self.pixels.shape != (PATCH_SIZE, PATCH_SIZE):
             raise DataError(
                 f"patch {self.id}: expected {PATCH_SIZE}x{PATCH_SIZE} pixels, "
@@ -56,8 +66,7 @@ class FeatureSample:
     source: str = "built-in"  # "built-in" | "imported"
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise DataError(f"label must be one of {LABELS}, got {self.label!r}")
+        _check_label(self.label)
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise DataError(f"sample {self.id}: non-finite feature values")
@@ -129,6 +138,7 @@ def load_dataset(directory, manifest) -> list[Patch]:
     """Read the patches listed in a `filename,label` manifest CSV."""
     directory = Path(directory)
     patches: list[Patch] = []
+    seen: dict[str, int] = {}
     with open(manifest, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["filename", "label"]:
@@ -139,17 +149,19 @@ def load_dataset(directory, manifest) -> list[Patch]:
             where = f"{manifest}:{reader.line_num}"
             if None in row:  # DictReader keys surplus fields by None
                 raise FormatError(f"{where}: expected filename,label only")
-            fname = row["filename"]
-            pixels = read_pgm(directory / fname)
-            if pixels.shape != (PATCH_SIZE, PATCH_SIZE):
-                raise FormatError(
-                    f"{fname}: expected {PATCH_SIZE}x{PATCH_SIZE}, "
-                    f"got {pixels.shape[1]}x{pixels.shape[0]}"
-                )
-            try:
-                patches.append(Patch(Path(fname).stem, row["label"], pixels))
-            except DataError as exc:  # a label outside LABELS, or none
-                raise DataError(f"{where}: {exc}") from exc
+            fname, stem = row["filename"], Path(row["filename"]).stem
+            try:  # the label before the file; a missing file stays an OSError
+                _check_label(row["label"])
+                _check_new_id(seen, stem, reader.line_num)
+                pixels = read_pgm(directory / fname)
+                if pixels.shape != (PATCH_SIZE, PATCH_SIZE):
+                    raise FormatError(
+                        f"{fname}: expected {PATCH_SIZE}x{PATCH_SIZE}, "
+                        f"got {pixels.shape[1]}x{pixels.shape[0]}"
+                    )
+            except (DataError, FormatError) as exc:
+                raise type(exc)(f"{where}: {exc}") from exc
+            patches.append(Patch(stem, row["label"], pixels))
     if not patches:
         warnings.warn(f"manifest {manifest} lists no patches")
     return patches
@@ -259,6 +271,7 @@ def import_features(path) -> list[FeatureSample]:
     """Read externally computed features: CSV rows `id,label,f_0,...`."""
     samples: list[FeatureSample] = []
     width: int | None = None
+    seen: dict[str, int] = {}
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -276,7 +289,8 @@ def import_features(path) -> list[FeatureSample]:
                 samples.append(FeatureSample(
                     id=row[0], label=row[1], source="imported",
                     values=[float(v) for v in row[2:]]))
-            except DataError as exc:  # bad label or non-finite value
+                _check_new_id(seen, row[0], lineno)
+            except DataError as exc:  # bad label, non-finite value or repeat
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
             except ValueError as exc:  # a value float() cannot parse
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc

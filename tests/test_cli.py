@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcrack.circuit import CircuitSpec, Shots
-from qcrack.cli import main, parse_run_config
+from qcrack.cli import _DEFAULTS, main, parse_run_config
 from qcrack.errors import ConfigError
 from qcrack.model import HybridModel, save_checkpoint
 
@@ -241,6 +241,40 @@ class TestTrainCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["ledger"]["n_calls"] == report["ledger"]["predicted"]
 
+    @pytest.mark.parametrize("flag", [("--seed", "3"), ("--out", "d")])
+    def test_non_object_config_with_override_exits_2(self, capsys, tmp_path,
+                                                     flag):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1]")
+        code, out, err = run(capsys, "train", "--config", str(cfg), *flag)
+        assert code == 2 and out == ""
+        assert "config error: config must be a JSON object" in err
+
+    def test_replay_from_run_config(self, capsys, tmp_path, feature_csv):
+        # run_config.json records every value the run used: training again
+        # from it, elsewhere, gives the same checkpoint and split
+        cfg = train_config(tmp_path, feature_csv)
+        assert run(capsys, "train", "--config", str(cfg))[0] == 0
+        first, second = tmp_path / "run", tmp_path / "run2"
+        code, _, _ = run(capsys, "train", "--config",
+                         str(first / "run_config.json"), "--out", str(second))
+        assert code == 0
+        for name in ("checkpoint.json", "split.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+        recorded = [json.loads((d / "run_config.json").read_text())
+                    for d in (first, second)]
+        assert recorded[1] == {**recorded[0], "out_dir": str(second)}
+
+    def test_duplicate_feature_id_exits_1(self, capsys, tmp_path,
+                                          feature_csv):
+        rows = feature_csv.read_text().splitlines()
+        feature_csv.write_text("\n".join(rows + [rows[0]]) + "\n")
+        code, out, err = run(capsys, "train", "--config",
+                             str(train_config(tmp_path, feature_csv)))
+        assert code == 1 and out == ""
+        assert (f"error: {feature_csv}:25: duplicate id 'c0' "
+                "(first at line 1)") in err
+
 
 class TestTrainReconciliation:
     def test_report_records_reconcile(self, capsys, tmp_path, feature_csv):
@@ -340,6 +374,20 @@ class TestDataSources:
                            str(patches / "manifest.csv"), "--json")
         assert code == 0
         assert sum(json.loads(out)["confusion_matrix"].values()) == 8
+
+    def test_eval_repeated_manifest_row_exits_1(self, capsys, tmp_path):
+        patches = tmp_path / "p"
+        run(capsys, "gen", "2", "2", "--out", str(patches))
+        manifest = patches / "manifest.csv"
+        manifest.write_text(manifest.read_text() + "crack_00001.pgm,crack\n")
+        save_checkpoint(tmp_path / "ckpt.json",
+                        HybridModel.init(512, CircuitSpec(2, 1), 0), seed=0)
+        code, out, err = run(capsys, "eval", "--checkpoint",
+                             str(tmp_path / "ckpt.json"), "--data-dir",
+                             str(patches), "--manifest", str(manifest))
+        assert code == 1 and out == ""
+        assert "manifest.csv:6: duplicate id 'crack_00001' (first at line 3)" \
+            in err
 
     @pytest.mark.parametrize("data,extra", [
         ({"source": "synthetic", "n_crack": 2, "n_clean": 2, "seed_gen": 7},
@@ -445,9 +493,41 @@ class TestRunConfigValidation:
         assert cfg.split.ratios == (0.7, 0.15, 0.15) and cfg.split.seed == 0
         assert cfg.mode is None
         # the generator seed the run uses is the one its record shows
-        assert cfg.to_dict()["data"] == {"source": "synthetic", "n_crack": 50,
-                                         "n_clean": 50, "gen_seed": 1234}
+        assert cfg.doc["data"] == {"source": "synthetic", "n_crack": 50,
+                                   "n_clean": 50, "gen_seed": 1234}
         assert parse_run_config(VALID_CONFIG).mode == Shots(16, 3)
+
+    def test_record_follows_the_defaults_table(self):
+        assert list(parse_run_config({}).doc) == list(_DEFAULTS)
+        assert list(parse_run_config(
+            dict(reversed(VALID_CONFIG.items()))).doc) == list(_DEFAULTS)
+
+    def test_record_shares_nothing_with_the_defaults(self):
+        before = copy.deepcopy(_DEFAULTS)
+        doc = parse_run_config({}).doc
+        for key, value in doc.items():
+            if isinstance(value, (dict, list)):
+                assert value is not _DEFAULTS[key], key
+        doc["circuit"]["num_qubits"] = 9
+        doc["data"]["n_crack"] = 0
+        doc["split"].append(0.0)
+        assert _DEFAULTS == before
+        assert parse_run_config({}).doc["circuit"] == {"num_qubits": 4,
+                                                       "q_depth": 1}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"optimizer": "sgd", "circuit": {"num_qubits": 0}},
+         "unknown config keys"),
+        ({"circuit": {"num_qubits": 0}, "epochs": -1}, "circuit: "),
+        ({"epochs": -1, "shots": 4, "data": {"source": "x"}}, "epochs"),
+        ({"split": [1.0], "shots": 4}, "split must be three ratios"),
+        ({"shots": 4, "data": {"source": "x"}}, "backprop is not available"),
+        ({"data": {"source": "x"}, "out_dir": 5}, "data.source"),
+    ])
+    def test_first_check_reports(self, doc, message):
+        # a document wrong in two ways fails on the first check in order
+        with pytest.raises(ConfigError, match=message):
+            parse_run_config(doc)
 
     @pytest.mark.parametrize("doc", [
         {"epochs": -1},
@@ -497,7 +577,7 @@ class TestRunConfigValidation:
             cfg = parse_run_config(doc)
         except ConfigError:
             return
-        out = cfg.to_dict()
+        out = cfg.doc
         assert parse_run_config(out) == cfg
         for key, value in doc.items():  # every value set is recorded as set
             if key in ("circuit", "data"):

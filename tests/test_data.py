@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ class TestSplit:
         ids = [s.id for part in parts for s in part]
         assert sorted(ids) == sorted(s.id for s in samples)
         assert len(set(ids)) == len(ids)
+
+    @given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=2),
+           weights=st.tuples(*[st.integers(0, 5)] * 3).filter(any),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_parts_disjoint_and_covering(self, sizes, weights, seed):
+        # zero ratios included, and one class or two
+        ratios = tuple(w / sum(weights) for w in weights)
+        samples = dummy_samples(*sizes, *[0] * (2 - len(sizes)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # tiny splits may round to zero
+            parts = split(samples, SplitConfig(ratios, seed))
+        ids = [{s.id for s in part} for part in parts]
+        assert sum(map(len, ids)) == len(samples) == sum(map(len, parts))
+        assert set.union(*ids) == {s.id for s in samples}
+        for part, ratio in zip(parts, ratios):
+            if ratio == 0:
+                assert part == []
 
     def test_seed_stability(self):
         samples = dummy_samples(30, 20)
@@ -349,6 +368,46 @@ class TestPgmIO:
         with pytest.raises(error, match=match):
             load_dataset(tmp_path, tmp_path / "m.csv")
 
+    def test_label_checked_before_the_file(self, tmp_path):
+        (tmp_path / "m.csv").write_text("filename,label\nnope.pgm,cracked\n")
+        with pytest.raises(DataError, match=r"m\.csv:2: label .*'cracked'"):
+            load_dataset(tmp_path, tmp_path / "m.csv")
+
+    def test_wrong_dimensions_names_line(self, tmp_path):
+        write_patches(generate_synthetic(0, 1, seed=2), tmp_path)
+        write_pgm(tmp_path / "bad.pgm", np.zeros((225, 224), dtype=np.uint8))
+        (tmp_path / "m.csv").write_text(
+            "filename,label\nclean_00000.pgm,no_crack\nbad.pgm,crack\n")
+        with pytest.raises(FormatError, match=r"m\.csv:3: bad\.pgm: expected "
+                                              r"224x224, got 224x225"):
+            load_dataset(tmp_path, tmp_path / "m.csv")
+
+    def test_bad_header_names_line(self, tmp_path):
+        (tmp_path / "bad.pgm").write_bytes(b"P5\n0 4\n255\n" + bytes(4))
+        (tmp_path / "m.csv").write_text("filename,label\nbad.pgm,crack\n")
+        with pytest.raises(FormatError, match=r"m\.csv:2: .*bad\.pgm: "
+                                              r"malformed PGM header"):
+            load_dataset(tmp_path, tmp_path / "m.csv")
+
+    def test_repeated_row_rejected(self, tmp_path):
+        manifest = write_patches(generate_synthetic(3, 3, seed=2), tmp_path)
+        rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(rows + [rows[1]]) + "\n")
+        with pytest.raises(DataError, match=r"manifest\.csv:8: duplicate id "
+                                            r"'crack_00000' "
+                                            r"\(first at line 2\)"):
+            load_dataset(tmp_path, manifest)
+
+    def test_one_stem_two_files_rejected(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        for name in ("a.pgm", "sub/a.pgm"):
+            write_pgm(tmp_path / name, np.zeros((224, 224), dtype=np.uint8))
+        (tmp_path / "m.csv").write_text(
+            "filename,label\na.pgm,crack\nsub/a.pgm,no_crack\n")
+        with pytest.raises(DataError, match=r"m\.csv:3: duplicate id 'a' "
+                                            r"\(first at line 2\)"):
+            load_dataset(tmp_path, tmp_path / "m.csv")
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.pgm").write_bytes(b"P2\n2 2\n255\n0 0 0 0")
         with pytest.raises(FormatError, match="P5"):
@@ -391,6 +450,13 @@ class TestImportFeatures:
         (tmp_path / "f.csv").write_text("a,cracked,1,2,3\n")
         with pytest.raises(DataError, match=":1"):
             import_features(tmp_path / "f.csv")
+
+    def test_one_id_under_two_labels_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("a,crack,1,2\nb,crack,1,2\na,no_crack,3,4\n")
+        with pytest.raises(DataError, match=r"f\.csv:3: duplicate id 'a' "
+                                            r"\(first at line 1\)"):
+            import_features(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_row_names_line(self, tmp_path, value):
