@@ -3,9 +3,11 @@
 Flags and config documents become the package's value types (CircuitSpec,
 GradMethod, Shots, SplitConfig, BackendProfile), which check their own
 fields; a value one rejects is a config error, raised before any work.
-Exit codes: 0 success, 1 runtime failure, 2 config/usage error. Every run
-artifact is written atomically (temp file + rename) together with the
-exact configuration that produced it.
+Each command returns its exit code, its result document and its text
+lines, and prints nothing; `main` alone prints, the document with --json
+and the lines without. Exit codes: 0 success, 1 runtime failure, 2
+config/usage error. Every run artifact is written atomically (temp file +
+rename) together with the exact configuration that produced it.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def _load_samples(data: dict) -> list:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple[int, dict | None, list[str]]:
     doc = json.loads(Path(args.config).read_text())
     overrides = {"seed": args.seed, "out_dir": args.out}
     if isinstance(doc, dict):  # else parse_run_config reports it
@@ -173,26 +175,23 @@ def cmd_train(args) -> int:
     if report is not None:
         doc_out.update(report.to_dict())
     write_atomic(out / "report.json", json.dumps(doc_out, indent=2))
-
-    if args.json:
-        print(json.dumps(doc_out))
-    else:
-        print(f"trained {epochs} epochs with {cfg.method.kind} "
-              f"(T={len(train_set)}, V={len(val_set)}, "
-              f"L={cfg.circuit.num_layers}, Q={cfg.circuit.num_qubits})")
-        if report is not None:
-            print(f"test loss {report.loss:.4f}  "
-                  f"test accuracy {report.accuracy:.4f}")
-        print(f"calls: measured {ledger.n_calls}  predicted {predicted}")
-        print(f"artifacts written to {out}")
-    return 0
+    return 0, doc_out, [
+        f"trained {epochs} epochs with {cfg.method.kind} "
+        f"(T={len(train_set)}, V={len(val_set)}, "
+        f"L={cfg.circuit.num_layers}, Q={cfg.circuit.num_qubits})",
+        *([f"test loss {report.loss:.4f}  test accuracy {report.accuracy:.4f}"]
+          if report is not None else []),
+        f"calls: measured {ledger.n_calls}  predicted {predicted}",
+        f"artifacts written to {out}"]
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, dict | None, list[str]]:
     flags = {"source": "dir", "path": args.data_dir, "manifest": args.manifest}
     if args.features is not None:
         flags.update(source="features", path=args.features)
     data = check_data({k: v for k, v in flags.items() if v is not None})
+    if args.seed is not None and args.shots is None:
+        raise ConfigError("--seed needs --shots")
     model, seed = load_checkpoint(args.checkpoint)
     with _usage():
         mode = None if args.shots is None else Shots(
@@ -210,18 +209,15 @@ def cmd_eval(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "eval_report.json", json.dumps(doc, indent=2))
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        c = report.confusion
-        print(f"loss {report.loss:.4f}  accuracy {report.accuracy:.4f}")
-        print(f"confusion: tp={c['tp']} fp={c['fp']} fn={c['fn']} tn={c['tn']}")
-        if report.misclassified:
-            print(f"misclassified: {', '.join(report.misclassified)}")
-    return 0
+    c = report.confusion
+    return 0, doc, [
+        f"loss {report.loss:.4f}  accuracy {report.accuracy:.4f}",
+        f"confusion: tp={c['tp']} fp={c['fp']} fn={c['fn']} tn={c['tn']}",
+        *([f"misclassified: {', '.join(report.misclassified)}"]
+          if report.misclassified else [])]
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args) -> tuple[int, dict | None, list[str]]:
     with _usage():
         check_int("trials", args.trials, 1)
         check_int("seed", args.seed, 0)
@@ -254,36 +250,27 @@ def cmd_gradcheck(args) -> int:
         "tol_fd": args.tol_fd,
         "pass": ok_shift and ok_fd,
     }
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(f"param-shift vs backprop: max dev {max_shift:.3e} "
-              f"(tol {args.tol_shift:.0e}) {'pass' if ok_shift else 'FAIL'}")
-        print(f"finite-diff ({args.fd_variant}, d={args.fd_delta:g}) vs "
-              f"backprop: max dev {max_fd:.3e} "
-              f"(tol {args.tol_fd:.0e}) {'pass' if ok_fd else 'FAIL'}")
-    return 0 if doc["pass"] else 1
+    return 0 if doc["pass"] else 1, doc, [
+        f"param-shift vs backprop: max dev {max_shift:.3e} "
+        f"(tol {args.tol_shift:.0e}) {'pass' if ok_shift else 'FAIL'}",
+        f"finite-diff ({args.fd_variant}, d={args.fd_delta:g}) vs "
+        f"backprop: max dev {max_fd:.3e} "
+        f"(tol {args.tol_fd:.0e}) {'pass' if ok_fd else 'FAIL'}"]
 
 
-def cmd_ledger(args) -> int:
+def cmd_ledger(args) -> tuple[int, dict | None, list[str]]:
     with _usage():
         rows = [(name, ledger_predict(args.T, args.V, args.L, args.Q,
                                       GradMethod(name)))
                 for name in (BACKPROP, FINITE_DIFF, PARAM_SHIFT)]
-    if args.json:
-        print(json.dumps({
-            "T": args.T, "V": args.V, "L": args.L, "Q": args.Q,
-            "n_calls": dict(rows),
-        }))
-    else:
-        print(f"predicted calls per epoch "
-              f"(T={args.T}, V={args.V}, L={args.L}, Q={args.Q}):")
-        for name, n in rows:
-            print(f"  {name:<13} {n:,}")
-    return 0
+    doc = {"T": args.T, "V": args.V, "L": args.L, "Q": args.Q,
+           "n_calls": dict(rows)}
+    return 0, doc, [f"predicted calls per epoch "
+                    f"(T={args.T}, V={args.V}, L={args.L}, Q={args.Q}):",
+                    *(f"  {name:<13} {n:,}" for name, n in rows)]
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[int, dict | None, list[str]]:
     if args.clops is None and not args.profile:
         raise ConfigError("estimate needs --profile or --clops")
     with _usage():
@@ -308,25 +295,21 @@ def cmd_estimate(args) -> int:
         "device_seconds": device_s,
         "wall_seconds": wall_s,
     }
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(f"device_seconds = n_calls*shots*layers/clops = "
-              f"{args.n_calls}*{args.shots}*{args.layers}/{profile.clops} "
-              f"= {device_s:,.1f} s")
-        print(f"wall_seconds   = device_seconds*{profile.overhead_factor:g} "
-              f"= {wall_s:,.1f} s")
-        print("(order-of-magnitude model; queueing reduced to one multiplier)")
-    return 0
+    return 0, doc, [
+        f"device_seconds = n_calls*shots*layers/clops = "
+        f"{args.n_calls}*{args.shots}*{args.layers}/{profile.clops} "
+        f"= {device_s:,.1f} s",
+        f"wall_seconds   = device_seconds*{profile.overhead_factor:g} "
+        f"= {wall_s:,.1f} s",
+        "(order-of-magnitude model; queueing reduced to one multiplier)"]
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[int, dict | None, list[str]]:
     with _usage():
         patches = data_mod.generate_synthetic(args.n_crack, args.n_clean,
                                               args.seed)
     manifest = data_mod.write_patches(patches, args.out)
-    print(f"wrote {len(patches)} patches and {manifest}")
-    return 0
+    return 0, None, [f"wrote {len(patches)} patches and {manifest}"]
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="cross-check the three gradient methods")
-    p.add_argument("--qubits", type=int, default=4)
-    p.add_argument("--q-depth", type=int, default=1)
+    p.add_argument("--qubits", type=int, default=CircuitSpec.num_qubits)
+    p.add_argument("--q-depth", type=int, default=CircuitSpec.q_depth)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol-shift", type=float, default=1e-10)
     p.add_argument("--tol-fd", type=float, default=1e-3)
@@ -408,13 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(doc) if getattr(args, "json", False) else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

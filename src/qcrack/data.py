@@ -77,12 +77,14 @@ class FeatureSample:
 
 def derive_rng(base: int, *keys: int) -> np.random.Generator:
     """The PCG64 generator of the stream `keys` under `base`."""
+    check_int("seed", base, 0)
     return np.random.default_rng(np.random.SeedSequence([base, *keys]))
 
 
 def derive_seed(base: int, *keys: int) -> int:
     """An independent PCG64 seed for the stream `keys` under `base`."""
-    seq = np.random.SeedSequence(entropy=[int(base), *map(int, keys)])
+    check_int("seed", base, 0)
+    seq = np.random.SeedSequence(entropy=[base, *map(int, keys)])
     return int(seq.generate_state(1)[0])
 
 

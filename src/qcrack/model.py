@@ -354,6 +354,8 @@ def load_checkpoint(path) -> tuple[HybridModel, int]:
                              np.array(doc["post"]["bias"], dtype=float)),
         )
         check_int("seed", doc["seed"], 0)
+        if not np.isfinite(model.parameters().vector).all():
+            raise ValueError("non-finite parameter")
         return model, doc["seed"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint "

@@ -129,6 +129,70 @@ class TestEstimateCommand:
         assert doc["overhead_factor"] == 3.0 and doc["clops"] == 100
 
 
+KOLKATA = ["estimate", "--profile", "ibmq_kolkata", "--n-calls", "14736",
+           "--shots", "1024", "--layers", "2"]
+CUSTOM = ["estimate", "--clops", "1900", "--overhead", "6.5",
+          "--n-calls", "1040"]
+EVAL = ["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
+        "{tmp}/features.csv"]
+MISSED = "n0, c1, n1, n2, n3, n4, n5, n6, n7, c8, n8, n9, n10, n11"
+
+
+class TestStdout:
+    """Each subcommand's exact stdout and exit code, as text and as --json
+    where it has the flag."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["ledger", "856", "184", "2", "4"],
+         "predicted calls per epoch (T=856, V=184, L=2, Q=4):\n"
+         "  backprop      1,040\n  finite-diff   7,888\n"
+         "  param-shift   14,736\n"),
+        (["ledger", "856", "184", "2", "4", "--json"],
+         '{"T": 856, "V": 184, "L": 2, "Q": 4, "n_calls": {"backprop": 1040,'
+         ' "finite-diff": 7888, "param-shift": 14736}}\n'),
+        (KOLKATA,
+         "device_seconds = n_calls*shots*layers/clops = 14736*1024*2/2000"
+         " = 15,089.7 s\nwall_seconds   = device_seconds*1 = 15,089.7 s\n"
+         "(order-of-magnitude model; queueing reduced to one multiplier)\n"),
+        (KOLKATA + ["--json"],
+         '{"profile": "ibmq_kolkata", "clops": 2000, "overhead_factor": 1.0,'
+         ' "n_calls": 14736, "shots": 1024, "layers": 2,'
+         ' "device_seconds": 15089.664, "wall_seconds": 15089.664}\n'),
+        (CUSTOM,
+         "device_seconds = n_calls*shots*layers/clops = 1040*1000*2/1900"
+         " = 1,094.7 s\nwall_seconds   = device_seconds*6.5 = 7,115.8 s\n"
+         "(order-of-magnitude model; queueing reduced to one multiplier)\n"),
+        (CUSTOM + ["--json"],
+         '{"profile": "custom", "clops": 1900, "overhead_factor": 6.5,'
+         ' "n_calls": 1040, "shots": 1000, "layers": 2,'
+         ' "device_seconds": 1094.7368421052631,'
+         ' "wall_seconds": 7115.78947368421}\n'),
+        (["gen", "2", "1", "--out", "{tmp}/p"],
+         "wrote 3 patches and {tmp}/p/manifest.csv\n"),
+        (EVAL,
+         "loss 0.8041  accuracy 0.4167\nconfusion: tp=10 fp=12 fn=2 tn=0\n"
+         f"misclassified: {MISSED}\n"),
+        (EVAL + ["--json"],
+         '{"test_loss": 0.8041181002107569,'
+         ' "test_accuracy": 0.4166666666666667,'
+         ' "confusion_matrix": {"tp": 10, "fp": 12, "fn": 2, "tn": 0},'
+         ' "misclassified_ids": ["' + MISSED.replace(", ", '", "') + '"]}\n'),
+        (EVAL + ["--shots", "32", "--seed", "3"],
+         "loss 0.8112  accuracy 0.3750\nconfusion: tp=8 fp=11 fn=4 tn=1\n"
+         "misclassified: c0, n0, c1, n1, n2, n3, n4, n5, c6, n6, c7, n8, n9,"
+         " n10, n11\n"),
+    ], ids=["ledger", "ledger-json", "estimate-profile",
+            "estimate-profile-json", "estimate-clops", "estimate-clops-json",
+            "gen", "eval", "eval-json", "eval-shots-seed"])
+    def test_exact_stdout(self, capsys, tmp_path, feature_csv, argv,
+                          expected):
+        save_checkpoint(tmp_path / "ckpt.json",
+                        HybridModel.init(8, CircuitSpec(2, 1), 0), seed=0)
+        code, out, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 0
+        assert out == expected.replace("{tmp}", str(tmp_path))
+
+
 class TestGenCommand:
     def test_writes_patches_and_manifest(self, capsys, tmp_path):
         out_dir = tmp_path / "patches"
@@ -355,6 +419,20 @@ class TestEvalCommand:
         assert str(bad) in err and "malformed checkpoint" in err
 
 
+    def test_non_finite_parameter_is_malformed(self, capsys, tmp_path,
+                                               feature_csv):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, HybridModel.init(8, CircuitSpec(2, 1), 0), 0)
+        doc = json.loads(path.read_text())
+        doc["post"]["bias"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--checkpoint", str(path),
+                             "--features", str(feature_csv), "--json")
+        assert code == 1 and out == ""
+        assert err == (f"error: {path}: malformed checkpoint "
+                       "(ValueError: non-finite parameter)\n")
+
+
 class TestDataSources:
     """train and eval read their data through one table of sources."""
 
@@ -450,6 +528,8 @@ class TestFlagValidation:
         ["ledger", "5", "5", "1", "4"],
         ["estimate", "--profile", "ibmq_lima", "--overhead", "inf",
          "--n-calls", "10", "--json"],
+        ["eval", "--checkpoint", "{tmp}/missing.json", "--features",
+         "{features}", "--seed", "3", "--out", "{tmp}/patches"],
     ])
     def test_rejected_flag_exits_2(self, capsys, tmp_path, feature_csv,
                                    argv):

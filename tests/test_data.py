@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcrack.data import (PATCH_SIZE, FeatureSample, Patch, SplitConfig,
-                         _draw_crack, extract_features, generate_synthetic,
+                         _draw_crack, derive_rng, derive_seed,
+                         extract_features, generate_synthetic,
                          import_features, load_dataset, read_pgm, split,
                          split_record, write_patches, write_pgm)
 from qcrack.errors import DataError, FormatError
@@ -114,6 +115,20 @@ class TestSplit:
         doc = json.loads(split_record(split(samples, cfg), cfg))
         assert doc["seed"] == 9
         assert len(doc["train"]) + len(doc["val"]) + len(doc["test"]) == 6
+
+
+class TestSeedRecipe:
+    @pytest.mark.parametrize("draw", [
+        lambda base: derive_rng(base, 3),
+        lambda base: derive_seed(base, 3),
+        lambda base: split(dummy_samples(2, 2),
+                           SplitConfig((0.5, 0.25, 0.25), base)),
+    ], ids=["derive_rng", "derive_seed", "split"])
+    @pytest.mark.parametrize("base", [True, 1.5, "3", None, -1])
+    def test_base_must_be_an_integer(self, draw, base):
+        # a bool or a float once ran silently as another seed
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            draw(base)
 
 
 class TestSyntheticGeneration:

@@ -479,6 +479,8 @@ class TestCheckpoint:
         *(VALID_ONE_QUBIT.replace('"seed": 1', f'"seed": {seed}')
           for seed in ('"x"', "null", "true", "-1", "1.5")),
         *(with_layer(*case) for case in BAD_LAYER_SHAPES),
+        with_layer("post", {"bias": [math.nan, 0.0]}),
+        with_layer("pre", {"weights": [[0.5], [math.inf], [-0.5]]}),
     ])
     def test_malformed_raises_format_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
