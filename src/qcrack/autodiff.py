@@ -109,15 +109,12 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
                        method: GradMethod, ledger: CallLedger,
                        mode: Shots | None = None
                        ) -> tuple[np.ndarray, QNodeJacobian]:
-    """Forward value plus Jacobian of the quantum node.
-
-    Call accounting per training image: 1 forward call for the base value,
-    plus backward calls of 2*L*Q (param-shift), L*Q (forward finite
-    differences), 2*L*Q (central finite differences), or none (backprop:
-    its L*Q tangent rows ride the one forward sweep in evolve, and are
-    amplitudes, not <Z> readouts). The shifted circuits run as rows of one
-    evaluate_rows call; in shot mode row i samples with seed
-    derive_seed(mode.seed, i).
+    """Forward value plus Jacobian of the quantum node: one forward call,
+    plus one backward call per shifted row of `_shift_rows`, 2*L*Q (the
+    shift rule, central differences) or L*Q (forward differences). Backprop
+    runs none: its L*Q tangent rows ride the one forward sweep in evolve
+    and are amplitudes, not <Z> readouts. The rows run as one evaluate_rows
+    call; in shot mode row i samples with seed derive_seed(mode.seed, i).
     """
     q = spec.num_qubits
     all_angles = np.concatenate([encode_features(qinput.features),
@@ -125,25 +122,22 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
 
     if method.kind == BACKPROP:
         if mode is not None:
-            raise CapabilityError(
-                "backprop needs exact statevector access; not available in shots mode"
-            )
-        ledger.add_forward(1)
+            raise CapabilityError("backprop needs exact statevector access; "
+                                  "not available in shots mode")
         rows = evolve(q, spec.q_depth, all_angles[None], tangents=True)
         # d<Z_k>/d angle_j = 2<psi|Z_k|d psi/d angle_j> = <psi|Z_k|row 1+j>
-        z, deriv = z_rows(rows[:1])[0], (rows[:1] * z_signs(q)) @ rows[1:].T
-        return z, QNodeJacobian(d_params=deriv[:, q:], d_inputs=deriv[:, :q])
-
-    f = evaluate_rows(spec, all_angles + _shift_rows(method, all_angles.size),
-                      mode)
+        f, deriv = z_rows(rows[:1]), ((rows[:1] * z_signs(q)) @ rows[1:].T).T
+    else:
+        f = evaluate_rows(spec, all_angles + _shift_rows(method, all_angles.size),
+                          mode)
+        # the shift rule (f+ - f-) / (2 sin s) at s = pi/2: central, h = 1
+        h = 1.0 if method.kind == PARAM_SHIFT else method.fd_delta
+        if len(f) == all_angles.size + 1:  # one-sided rows
+            deriv = (f[1:] - f[0]) / h
+        else:  # paired rows
+            deriv = (f[1::2] - f[2::2]) / (2.0 * h)
     ledger.add_forward(1)
     ledger.add_backward(len(f) - 1)
-    if method.kind == PARAM_SHIFT:
-        deriv = 0.5 * (f[1::2] - f[2::2])
-    elif method.fd_variant == "forward":
-        deriv = (f[1:] - f[0]) / method.fd_delta
-    else:
-        deriv = (f[1::2] - f[2::2]) / (2.0 * method.fd_delta)
     return f[0], QNodeJacobian(d_params=deriv[q:].T, d_inputs=deriv[:q].T)
 
 

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,34 +137,46 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
 
 
+def _csv_rows(fh):
+    """(physical line it ends on, fields) of each nonblank CSV row."""
+    reader = csv.reader(fh)
+    return ((reader.line_num, row) for row in reader if row)
+
+
+@contextmanager
+def _row_errors(path, line: int):
+    """Prefix a bad CSV row's error with `<path>:<line>: `; keep its type."""
+    try:
+        yield
+    except (DataError, FormatError, OSError) as exc:
+        raise type(exc)(f"{path}:{line}: {exc}") from exc
+    except ValueError as exc:  # a value float() cannot parse
+        raise FormatError(f"{path}:{line}: {exc}") from exc
+
+
 def load_dataset(directory, manifest) -> list[Patch]:
     """Read the patches listed in a `filename,label` manifest CSV."""
-    directory = Path(directory)
     patches: list[Patch] = []
     seen: dict[str, int] = {}
     with open(manifest, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["filename", "label"]:
-            raise FormatError(
-                f"{manifest}: manifest header must be 'filename,label'"
-            )
-        for row in reader:
-            where = f"{manifest}:{reader.line_num}"
-            if None in row:  # DictReader keys surplus fields by None
-                raise FormatError(f"{where}: expected filename,label only")
-            fname, stem = row["filename"], Path(row["filename"]).stem
-            try:  # the label before the file; a missing file stays an OSError
-                _check_label(row["label"])
-                _check_new_id(seen, stem, reader.line_num)
-                pixels = read_pgm(directory / fname)
+        rows = _csv_rows(fh)
+        if next(rows, None) != (1, ["filename", "label"]):
+            raise FormatError(f"{manifest}: manifest header must be "
+                              "'filename,label'")
+        for line, row in rows:
+            with _row_errors(manifest, line):
+                if len(row) > 2:
+                    raise FormatError("expected filename,label only")
+                fname, label = (*row, None)[:2]  # a missing label is None
+                stem = Path(fname).stem
+                _check_label(label)  # the label before the file
+                _check_new_id(seen, stem, line)
+                pixels = read_pgm(Path(directory, fname))
                 if pixels.shape != (PATCH_SIZE, PATCH_SIZE):
                     raise FormatError(
                         f"{fname}: expected {PATCH_SIZE}x{PATCH_SIZE}, "
-                        f"got {pixels.shape[1]}x{pixels.shape[0]}"
-                    )
-            except (DataError, FormatError) as exc:
-                raise type(exc)(f"{where}: {exc}") from exc
-            patches.append(Patch(stem, row["label"], pixels))
+                        f"got {pixels.shape[1]}x{pixels.shape[0]}")
+            patches.append(Patch(stem, label, pixels))
     if not patches:
         warnings.warn(f"manifest {manifest} lists no patches")
     return patches
@@ -275,27 +288,18 @@ def import_features(path) -> list[FeatureSample]:
     width: int | None = None
     seen: dict[str, int] = {}
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise FormatError(f"{path}:{lineno}: need id,label,f_0,...")
-            if width is None:
-                width = len(row) - 2
-            elif len(row) - 2 != width:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {width} features, "
-                    f"got {len(row) - 2}"
-                )
-            try:
+        for line, row in _csv_rows(fh):
+            with _row_errors(path, line):
+                if len(row) < 3:
+                    raise FormatError("need id,label,f_0,...")
+                width = width or len(row) - 2  # the first row sets it
+                if len(row) - 2 != width:
+                    raise FormatError(
+                        f"expected {width} features, got {len(row) - 2}")
                 samples.append(FeatureSample(
                     id=row[0], label=row[1], source="imported",
                     values=[float(v) for v in row[2:]]))
-                _check_new_id(seen, row[0], lineno)
-            except DataError as exc:  # bad label, non-finite value or repeat
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            except ValueError as exc:  # a value float() cannot parse
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+                _check_new_id(seen, row[0], line)
     return samples
 
 

@@ -37,7 +37,9 @@ class ConfigError(ValueError):
 
 
 def _bounds(low, high) -> str:
-    return f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    if high < math.inf:
+        return f" in [{low}, {high}]"
+    return f" >= {low}" if low > -math.inf else ""
 
 
 def check_int(name: str, value, low: int, high=math.inf) -> None:
@@ -46,7 +48,7 @@ def check_int(name: str, value, low: int, high=math.inf) -> None:
     rejected too."""
     if isinstance(value, bool) or not isinstance(value, int) \
             or not low <= value <= high:
-        raise ValueError(f"{name} must be an integer {_bounds(low, high)}, "
+        raise ValueError(f"{name} must be an integer{_bounds(low, high)}, "
                          f"got {value!r}")
 
 
@@ -55,5 +57,5 @@ def check_real(name: str, value, low: float, high: float = math.inf) -> None:
     in [low, high]."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not (low <= value <= high and abs(value) < math.inf):
-        raise ValueError(f"{name} must be a finite number "
+        raise ValueError(f"{name} must be a finite number"
                          f"{_bounds(low, high)}, got {value!r}")

@@ -21,7 +21,7 @@ from .circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
 # the single-register path stays bound here for tracers that wrap it
 from .circuit import evaluate_angles  # noqa: F401
 from .data import LABELS, derive_rng, derive_seed, write_atomic
-from .errors import DataError, FormatError, check_int
+from .errors import DataError, FormatError, check_int, check_real
 
 ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
@@ -339,6 +339,14 @@ def save_checkpoint(path, model: HybridModel, seed: int) -> None:
     }))
 
 
+def _reals(name: str, value) -> np.ndarray:
+    """A checkpoint array whose every entry passes check_real."""
+    entries = np.array(value, dtype=object)
+    for x in entries.flat:
+        check_real(name, x, -math.inf)
+    return entries.astype(float)
+
+
 def load_checkpoint(path) -> tuple[HybridModel, int]:
     """The model and seed save_checkpoint wrote. Keys of older files that
     the model no longer uses, such as "optimizer", are ignored."""
@@ -346,17 +354,15 @@ def load_checkpoint(path) -> tuple[HybridModel, int]:
         with open(path) as fh:
             doc = json.load(fh)
         model = HybridModel(
-            pre=LinearLayer(np.array(doc["pre"]["weights"], dtype=float),
-                            np.array(doc["pre"]["bias"], dtype=float)),
+            pre=LinearLayer(_reals("pre.weights", doc["pre"]["weights"]),
+                            _reals("pre.bias", doc["pre"]["bias"])),
             qspec=CircuitSpec.from_dict(doc["circuit"]),
-            qparams=np.array(doc["qparams"], dtype=float),
-            post=LinearLayer(np.array(doc["post"]["weights"], dtype=float),
-                             np.array(doc["post"]["bias"], dtype=float)),
+            qparams=_reals("qparams", doc["qparams"]),
+            post=LinearLayer(_reals("post.weights", doc["post"]["weights"]),
+                             _reals("post.bias", doc["post"]["bias"])),
         )
         check_int("seed", doc["seed"], 0)
-        if not np.isfinite(model.parameters().vector).all():
-            raise ValueError("non-finite parameter")
         return model, doc["seed"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed checkpoint "
                           f"({type(exc).__name__}: {exc})") from exc

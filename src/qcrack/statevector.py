@@ -291,10 +291,9 @@ def sampled_z_rows(amps: np.ndarray, shots: int, seeds) -> np.ndarray:
     """<Z> estimated from `shots` measurements of each row, row i drawn with
     seeds[i]: the counts `sample` draws for that register, read out as
     `estimate_z_from_counts` reads them."""
-    probs = np.clip(amps * amps, 0.0, None)
     raw = np.array([
         np.random.default_rng(seed).multinomial(shots, p / p.sum())
-        for p, seed in zip(probs, seeds)
+        for p, seed in zip(amps * amps, seeds)
     ])
     # integer counts: the signed sums are exact, so one division rounds
     return (raw @ z_signs(amps.shape[1].bit_length() - 1).T) / shots

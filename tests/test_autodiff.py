@@ -8,9 +8,9 @@ from qcrack.autodiff import (CallLedger, GradMethod, _shift_rows, jacobian,
                              ledger_predict, ledger_reconcile,
                              value_and_jacobian)
 from qcrack.circuit import (CircuitSpec, QNodeInput, Shots, build_from_angles,
-                            encode_features, evaluate_angles)
+                            encode_features, evaluate_angles, evaluate_rows)
 from qcrack.errors import CapabilityError, ReconciliationError
-from qcrack.statevector import evolve, z_rows, zero_state
+from qcrack.statevector import evolve, z_rows, z_signs, zero_state
 
 BP = GradMethod.backprop()
 PS = GradMethod.param_shift()
@@ -168,6 +168,69 @@ class TestBackpropSweep:
                                       - dense_z(spec, angles - e))
                                for e in eye]).T
             assert np.max(np.abs(oracle - bp)) <= 1e-10
+
+
+def textbook_rows(angles, step, paired):
+    """The base row, then angles + step*e_j (and angles - step*e_j when
+    paired) for each j, written out one row at a time."""
+    rows = [angles]
+    for j in range(angles.size):
+        e = np.zeros(angles.size)
+        e[j] = step
+        rows += [angles + e, angles - e] if paired else [angles + e]
+    return np.array(rows)
+
+
+class TestOneTail:
+    """Each method's value_and_jacobian against its textbook combination of
+    the circuits it runs, exactly and in shot mode, with its ledger count."""
+
+    @pytest.mark.parametrize("mode", [None, Shots(64, 11)])
+    @pytest.mark.parametrize("method", [PS, FD_FWD, FD_CTR])
+    def test_shift_methods(self, method, mode):
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            spec, qin = random_case(rng, d=int(rng.integers(1, 4)))
+            angles = np.concatenate([encode_features(qin.features),
+                                     qin.params])
+            n = angles.size
+            if method is PS:  # (f+ - f-)/2 at +-pi/2
+                f = evaluate_rows(spec, textbook_rows(angles, math.pi / 2,
+                                                      True), mode)
+                want = (f[1::2] - f[2::2]) / 2
+            elif method is FD_FWD:  # (f+ - f0)/delta
+                f = evaluate_rows(spec, textbook_rows(angles, method.fd_delta,
+                                                      False), mode)
+                want = (f[1:] - f[0]) / method.fd_delta
+            else:  # (f+ - f-)/(2 delta)
+                f = evaluate_rows(spec, textbook_rows(angles, method.fd_delta,
+                                                      True), mode)
+                want = (f[1::2] - f[2::2]) / (2 * method.fd_delta)
+            ledger = CallLedger()
+            z, jac = value_and_jacobian(spec, qin, method, ledger, mode)
+            assert np.array_equal(z, f[0])
+            assert np.array_equal(jac.d_inputs, want[:spec.num_qubits].T)
+            assert np.array_equal(jac.d_params, want[spec.num_qubits:].T)
+            assert (ledger.n_forward, ledger.n_backward) == (1, len(f) - 1)
+            assert len(f) - 1 == (n if method is FD_FWD else 2 * n)
+
+    def test_backprop(self):
+        rng = np.random.default_rng(42)
+        for _ in range(6):
+            spec, qin = random_case(rng, d=int(rng.integers(1, 4)))
+            q, n = spec.num_qubits, spec.num_qubits * spec.num_layers
+            angles = np.concatenate([encode_features(qin.features),
+                                     qin.params])
+            rows = evolve(q, spec.q_depth, angles[None], tangents=True)
+            ledger = CallLedger()
+            z, jac = value_and_jacobian(spec, qin, BP, ledger)
+            assert np.array_equal(z, z_rows(rows[:1])[0])
+            # entry (k, j) is <psi|Z_k|row 1+j>
+            want = np.array([[np.sum(rows[0] * z_signs(q)[k] * rows[1 + j])
+                              for j in range(n)] for k in range(q)])
+            got = np.hstack([jac.d_inputs, jac.d_params])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            assert (ledger.n_forward, ledger.n_backward) == (1, 0)
 
 
 class TestCallCounting:

@@ -430,7 +430,24 @@ class TestEvalCommand:
                              "--features", str(feature_csv), "--json")
         assert code == 1 and out == ""
         assert err == (f"error: {path}: malformed checkpoint "
-                       "(ValueError: non-finite parameter)\n")
+                       "(ValueError: post.bias must be a finite number, "
+                       "got nan)\n")
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("qparams", None, True), ("post", "bias", "1.5")])
+    def test_parameter_that_is_not_a_number_is_malformed(
+            self, capsys, tmp_path, feature_csv, key, index, value):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, HybridModel.init(8, CircuitSpec(2, 1), 0), 0)
+        doc = json.loads(path.read_text())
+        (doc[key] if index is None else doc[key][index])[0] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--checkpoint", str(path),
+                             "--features", str(feature_csv), "--json")
+        name = key if index is None else f"{key}.{index}"
+        assert code == 1 and out == ""
+        assert err == (f"error: {path}: malformed checkpoint (ValueError: "
+                       f"{name} must be a finite number, got {value!r})\n")
 
 
 class TestDataSources:
@@ -466,6 +483,17 @@ class TestDataSources:
         assert code == 1 and out == ""
         assert "manifest.csv:6: duplicate id 'crack_00001' (first at line 3)" \
             in err
+
+    def test_eval_missing_patch_names_manifest_line(self, capsys, tmp_path):
+        (tmp_path / "m.csv").write_text("filename,label\nnope.pgm,crack\n")
+        save_checkpoint(tmp_path / "ckpt.json",
+                        HybridModel.init(512, CircuitSpec(2, 1), 0), seed=0)
+        code, out, err = run(capsys, "eval", "--checkpoint",
+                             str(tmp_path / "ckpt.json"), "--data-dir",
+                             str(tmp_path), "--manifest",
+                             str(tmp_path / "m.csv"))
+        assert code == 1 and out == ""
+        assert f"{tmp_path / 'm.csv'}:2: " in err and "nope.pgm" in err
 
     @pytest.mark.parametrize("data,extra", [
         ({"source": "synthetic", "n_crack": 2, "n_clean": 2, "seed_gen": 7},

@@ -433,6 +433,38 @@ class TestPgmIO:
         with pytest.raises(OSError):
             load_dataset(tmp_path, tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("row, match", [
+        ("nope.pgm,crack", r"m\.csv:2: .*nope\.pgm"),
+        (",crack", r"m\.csv:2: "),  # an empty filename names the directory
+    ])
+    def test_unreadable_file_names_line(self, tmp_path, row, match):
+        (tmp_path / "m.csv").write_text(f"filename,label\n{row}\n")
+        with pytest.raises(OSError, match=match):
+            load_dataset(tmp_path, tmp_path / "m.csv")
+
+    def test_blank_lines_skipped_and_lines_physical(self, tmp_path):
+        write_patches(generate_synthetic(0, 1, seed=2), tmp_path)
+        (tmp_path / "m.csv").write_text(
+            "filename,label\n\nclean_00000.pgm,no_crack\n\n"
+            "clean_00000.pgm,no_crack\n")
+        with pytest.raises(DataError, match=r"m\.csv:5: duplicate id "
+                                            r"'clean_00000' "
+                                            r"\(first at line 3\)"):
+            load_dataset(tmp_path, tmp_path / "m.csv")
+        (tmp_path / "m.csv").write_text(
+            "filename,label\n\nclean_00000.pgm,no_crack\n\n")
+        assert [p.id for p in load_dataset(tmp_path, tmp_path / "m.csv")] \
+            == ["clean_00000"]
+
+    @pytest.mark.parametrize("header", ["\nfilename,label\n", "file,label\n",
+                                        "filename,label,x\n", ""])
+    def test_bad_manifest_header(self, tmp_path, header):
+        write_patches(generate_synthetic(0, 1, seed=2), tmp_path)
+        (tmp_path / "m.csv").write_text(header + "clean_00000.pgm,no_crack\n")
+        with pytest.raises(FormatError, match=r"m\.csv: manifest header "
+                                              r"must be 'filename,label'"):
+            load_dataset(tmp_path, tmp_path / "m.csv")
+
     def test_empty_manifest_warns(self, tmp_path):
         (tmp_path / "m.csv").write_text("filename,label\n")
         with pytest.warns(UserWarning):
@@ -471,6 +503,28 @@ class TestImportFeatures:
         path.write_text("a,crack,1,2\nb,crack,1,2\na,no_crack,3,4\n")
         with pytest.raises(DataError, match=r"f\.csv:3: duplicate id 'a' "
                                             r"\(first at line 1\)"):
+            import_features(path)
+
+    def test_line_after_quoted_two_line_id_is_physical(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text('x,crack,1,2\n"two\nlines",crack,1,2\n'
+                        'y,cracked,1,2\n')
+        with pytest.raises(DataError, match=r"f\.csv:4: label"):
+            import_features(path)
+
+    def test_blank_lines_skipped_and_lines_physical(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("a,crack,1,2\n\n\nb,no_crack,3,4\n\nc,crack,5\n")
+        with pytest.raises(FormatError, match=r"f\.csv:6: expected 2 "
+                                              r"features, got 1"):
+            import_features(path)
+        path.write_text("a,crack,1,2\n\n\nb,no_crack,3,4\n\n")
+        assert [s.id for s in import_features(path)] == ["a", "b"]
+
+    def test_unparseable_value_is_format_error(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("a,crack,1,2\nb,crack,1,x\n")
+        with pytest.raises(FormatError, match=r"f\.csv:2: could not convert"):
             import_features(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -481,6 +481,13 @@ class TestCheckpoint:
         *(with_layer(*case) for case in BAD_LAYER_SHAPES),
         with_layer("post", {"bias": [math.nan, 0.0]}),
         with_layer("pre", {"weights": [[0.5], [math.inf], [-0.5]]}),
+        # a parameter that is not a number, though numpy would cast it
+        VALID_ONE_QUBIT.replace('"qparams": [0.1]', '"qparams": [true]'),
+        with_layer("post", {"bias": ["1.5", "2"]}),
+        with_layer("pre", {"weights": [[0.5], [None], [-0.5]]}),
+        with_layer("pre", {"weights": [[0.5], [0.25, 1.0], [-0.5]]}),
+        pytest.param(with_layer("post", {"bias": [10 ** 400, 0.0]}),
+                     id="int-beyond-float"),
     ])
     def test_malformed_raises_format_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
