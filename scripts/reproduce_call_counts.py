@@ -5,8 +5,11 @@ The analytic counts for one epoch with T training and V validation images
 on an L-layer, Q-qubit circuit:
 
     backprop     T + V
-    finite-diff  T + V + T*L*Q
+    finite-diff  T + V + T*L*Q      (forward differences)
     param-shift  T + V + 2*T*L*Q
+
+Central differences run two circuits per angle, as the shift rule does,
+and cost the same as param-shift.
 
 The empirical half trains a real model for one epoch on synthetic data;
 train() checks that the ledger agrees exactly and raises

@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import derive_seed
 from .errors import DataError, check_int
-from .statevector import Gate, StateVector, apply_gates, check_qubits
-from .statevector import brick_pairs, estimate_z_from_counts, evolve, sample
+from .statevector import MAX_SHOTS, Gate, StateVector, apply_gates, brick_pairs
+from .statevector import check_qubits, estimate_z_from_counts, evolve, sample
 from .statevector import sampled_z_rows, z_expectations, z_rows
 
 # keys older configs and checkpoints carry, with the one value each can hold
@@ -68,7 +68,7 @@ class Shots:
     seed: int
 
     def __post_init__(self):
-        check_int("shots", self.shots, 1)
+        check_int("shots", self.shots, 1, MAX_SHOTS)
         check_int("seed", self.seed, 0)
 
 
@@ -133,14 +133,14 @@ def evaluate_angles(spec: CircuitSpec, angles: np.ndarray, params: np.ndarray,
     ])
 
 
-BLOCK_AMPS = 1 << 13  # amplitudes per kernel call, which bounds its memory
+BLOCK_AMPS = 1 << 13  # amplitudes per block, or one row of 2^Q for Q >= 14
 
 
 def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
                   mode: Shots | None = None, keys: tuple = ()) -> np.ndarray:
     """(B, Q) per-qubit <Z> of one circuit per row of L*Q angles: the Q
     encoding angles, then the variational ones, run through the kernel in
-    blocks of at most BLOCK_AMPS amplitudes. In shot mode row i samples
+    blocks of max(1, BLOCK_AMPS >> Q) rows. In shot mode row i samples
     with seed derive_seed(mode.seed, *keys, i)."""
     step = max(1, BLOCK_AMPS >> spec.num_qubits)
     z = []

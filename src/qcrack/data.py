@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,6 +26,9 @@ from .errors import DataError, FormatError, check_int, check_real
 PATCH_SIZE = 224
 LABELS = ("no_crack", "crack")
 GEN_SEED = 1234  # default seed of generate_synthetic for `gen` and configs
+# skip whitespace and `#` lines, then read a comment running to the end of
+# the file (group None) or a PGM header token (empty at the end of the file)
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(?:#[^\n]*|(\S*))")
 
 _CELLS = 8                      # 8x8 grid of pooling cells
 _CELL = PATCH_SIZE // _CELLS    # 28 px per cell
@@ -112,16 +116,10 @@ def read_pgm(path) -> np.ndarray:
     tokens: list[bytes] = []
     pos = 0
     while len(tokens) < 4 and pos < len(data):
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":  # comment line
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
+        match = _PGM_TOKEN.match(data, pos)
+        pos = match.end()
+        if match[1] is not None:
+            tokens.append(match[1])
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise FormatError(f"{path}: not a binary PGM (P5) file")
     # ASCII digits only: int() also takes '+4', '-4' and '4_0'

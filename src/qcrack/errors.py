@@ -2,6 +2,7 @@
 kind of number: check_int for counts, check_real for reals."""
 
 import math
+from sys import float_info
 
 
 class CapacityError(ValueError):
@@ -54,8 +55,8 @@ def check_int(name: str, value, low: int, high=math.inf) -> None:
 
 def check_real(name: str, value, low: float, high: float = math.inf) -> None:
     """Raise ValueError unless value is a finite int or float, not a bool,
-    in [low, high]."""
+    in [low, high]. An int must also convert to float: 10**400 does not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not (low <= value <= high and abs(value) < math.inf):
+            or not (low <= value <= high and abs(value) <= float_info.max):
         raise ValueError(f"{name} must be a finite number"
                          f"{_bounds(low, high)}, got {value!r}")

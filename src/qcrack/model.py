@@ -363,6 +363,6 @@ def load_checkpoint(path) -> tuple[HybridModel, int]:
         )
         check_int("seed", doc["seed"], 0)
         return model, doc["seed"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint "
                           f"({type(exc).__name__}: {exc})") from exc

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DataError, check_int
 
 MAX_QUBITS = 20
+MAX_SHOTS = 2 ** 63 - 1  # the most shots numpy's multinomial takes (int64)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -166,34 +167,22 @@ def z_expectations(state: StateVector) -> np.ndarray:
     return np.array([z_expectation(state, q) for q in range(state.num_qubits)])
 
 
-@dataclass
-class ShotCounts:
-    shots: int
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_int("shots", self.shots, 1)
-
-
-def sample(state: StateVector, shots: int, seed: int) -> ShotCounts:
-    """Draw `shots` basis-state measurements with an explicit PCG64 seed."""
-    check_int("shots", shots, 1)
-    probs = np.clip(np.abs(state.amps) ** 2, 0.0, None)
-    probs = probs / probs.sum()
+def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
+    """Draw `shots` basis-state measurements with an explicit PCG64 seed:
+    the counts of each observed bitstring, whose total is `shots`."""
+    check_int("shots", shots, 1, MAX_SHOTS)
+    probs = np.abs(state.amps) ** 2
     rng = np.random.default_rng(seed)
-    raw = rng.multinomial(shots, probs)
+    raw = rng.multinomial(shots, probs / probs.sum())
     n = state.num_qubits
-    counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(raw) if c > 0}
-    return ShotCounts(shots=shots, counts=counts)
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(raw) if c > 0}
 
 
-def estimate_z_from_counts(counts: ShotCounts, qubit: int) -> float:
-    """(n0 - n1)/shots for one qubit position from measured bitstrings."""
-    if not counts.counts:
-        raise DataError("empty shot counts")
+def estimate_z_from_counts(counts: dict[str, int], qubit: int) -> float:
+    """(n0 - n1)/(n0 + n1) for one qubit position from measured bitstrings."""
     n0 = 0
     n1 = 0
-    for bitstring, c in counts.counts.items():
+    for bitstring, c in counts.items():
         if not bitstring or any(ch not in "01" for ch in bitstring):
             raise DataError(f"malformed bitstring {bitstring!r}")
         if qubit >= len(bitstring):
@@ -205,7 +194,9 @@ def estimate_z_from_counts(counts: ShotCounts, qubit: int) -> float:
             n0 += c
         else:
             n1 += c
-    return (n0 - n1) / counts.shots
+    if n0 + n1 == 0:
+        raise DataError("empty shot counts")
+    return (n0 - n1) / (n0 + n1)
 
 
 # ---------------------------------------------------------------------------

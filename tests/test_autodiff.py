@@ -50,6 +50,11 @@ class TestGradMethod:
         with pytest.raises(ValueError):
             GradMethod("backprop", fd_variant="sideways")
 
+    def test_int_beyond_float_rejected(self):
+        # 10**400 compares below inf but does not convert to a float
+        with pytest.raises(ValueError, match="fd_delta must be a finite"):
+            GradMethod("finite-diff", 10 ** 400)
+
     def test_parse(self):
         # the constructor is the one parser: it keeps fd_* for every kind
         assert not hasattr(GradMethod, "parse")

@@ -184,6 +184,11 @@ class TestShots:
             with pytest.raises(ValueError):
                 Shots(shots, seed)
 
+    def test_shots_bounded_by_numpy(self):
+        assert Shots(2 ** 63 - 1, 0).shots == 2 ** 63 - 1
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            Shots(2 ** 63, 0)
+
 
 class TestSpecSerialization:
     def test_json_round_trip(self):

@@ -569,6 +569,39 @@ class TestFlagValidation:
         assert out == "" and not (tmp_path / "patches").exists()
 
 
+class TestNumbersBeyondMachineRange:
+    """A number Python holds but numpy or a float cannot is a usage error:
+    exit 2, before any work."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"method": "finite-diff", "fd_delta": 10 ** 400},
+        {"method": "param-shift", "shots": 2 ** 63},
+    ])
+    def test_train_config_exits_2(self, capsys, tmp_path, feature_csv,
+                                  overrides):
+        cfg = train_config(tmp_path, feature_csv, **overrides)
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2 and out == "" and "config error" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_shots_exits_2(self, capsys, tmp_path, feature_csv):
+        save_checkpoint(tmp_path / "ckpt.json",
+                        HybridModel.init(8, CircuitSpec(2, 1), 0), seed=0)
+        code, out, err = run(capsys, "eval", "--checkpoint",
+                             str(tmp_path / "ckpt.json"), "--features",
+                             str(feature_csv), "--shots", str(2 ** 63))
+        assert code == 2 and out == "" and "config error" in err
+
+    def test_profile_overhead_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"name": "big", "clops": 100, "overhead_factor": 1'
+                        + "0" * 399 + "}")
+        code, out, err = run(capsys, "estimate", "--profile", str(path),
+                             "--n-calls", "10")
+        assert code == 2 and out == ""
+        assert "malformed backend profile" in err and "overhead_factor" in err
+
+
 # A valid config whose every key, and every key of its circuit and data
 # objects, takes part in validation.
 VALID_CONFIG = {

@@ -428,6 +428,26 @@ class TestPgmIO:
         with pytest.raises(FormatError, match="P5"):
             read_pgm(tmp_path / "bad.pgm")
 
+    def test_header_comments_skipped(self, tmp_path):
+        (tmp_path / "c.pgm").write_bytes(
+            b"P5\n# by gen\n2 #x\n1\n#\n \t# two\n255\n\x07\x09")
+        assert read_pgm(tmp_path / "c.pgm").tolist() == [[7, 9]]
+
+    def test_comment_to_end_of_file(self, tmp_path):
+        # no token is read after it, not even an empty one
+        (tmp_path / "c.pgm").write_bytes(b"P5\n2 1\n# 255")
+        (tmp_path / "d.pgm").write_bytes(b"P5\n2 1 # no newline")
+        for name in ("c.pgm", "d.pgm"):
+            with pytest.raises(FormatError,
+                               match=r"not a binary PGM \(P5\) file"):
+                read_pgm(tmp_path / name)
+
+    def test_whitespace_after_height_at_end_of_file(self, tmp_path):
+        # the empty token at the end of the file is read as the maxval
+        (tmp_path / "w.pgm").write_bytes(b"P5\n2 1 \n")
+        with pytest.raises(FormatError, match="malformed PGM header"):
+            read_pgm(tmp_path / "w.pgm")
+
     def test_missing_file(self, tmp_path):
         (tmp_path / "m.csv").write_text("filename,label\nnope.pgm,crack\n")
         with pytest.raises(OSError):

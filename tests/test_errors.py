@@ -1,4 +1,5 @@
 import math
+from sys import float_info
 
 import pytest
 
@@ -40,3 +41,12 @@ def test_check_real(value, ok):
     else:
         with pytest.raises(ValueError, match=r"ratio must be a finite number"):
             check_real("ratio", value, 0, 2)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, 2 ** 1024],
+                         ids=["10**400", "-10**400", "2**1024"])
+def test_check_real_int_beyond_float(value):
+    """An int that does not convert to a float is not a finite number."""
+    with pytest.raises(ValueError, match="x must be a finite number"):
+        check_real("x", value, -math.inf)
+    check_real("x", int(float_info.max), -math.inf)
