@@ -129,7 +129,8 @@ def _load_samples(data: dict) -> list:
 # Subcommands
 
 def cmd_train(args) -> tuple[int, dict | None, list[str]]:
-    doc = json.loads(Path(args.config).read_text())
+    with _usage():
+        doc = json.loads(Path(args.config).read_text())
     overrides = {"seed": args.seed, "out_dir": args.out}
     if isinstance(doc, dict):  # else parse_run_config reports it
         doc.update((k, v) for k, v in overrides.items() if v is not None)
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, lines = args.func(args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

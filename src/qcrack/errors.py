@@ -43,14 +43,15 @@ def _bounds(low, high) -> str:
     return f" >= {low}" if low > -math.inf else ""
 
 
-def check_int(name: str, value, low: int, high=math.inf) -> None:
-    """Raise ValueError unless value is an int in [low, high]. JSON true
+def check_int(name: str, value, low: int, high=math.inf,
+              error: type[ValueError] = ValueError) -> None:
+    """Raise `error` unless value is an int in [low, high]. JSON true
     and false load as bools, which are ints to Python, so a bool is
     rejected too."""
     if isinstance(value, bool) or not isinstance(value, int) \
             or not low <= value <= high:
-        raise ValueError(f"{name} must be an integer{_bounds(low, high)}, "
-                         f"got {value!r}")
+        raise error(f"{name} must be an integer{_bounds(low, high)}, "
+                    f"got {value!r}")
 
 
 def check_real(name: str, value, low: float, high: float = math.inf) -> None:

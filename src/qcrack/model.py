@@ -148,22 +148,25 @@ def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
 
 def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
                   method: GradMethod, ledger: CallLedger,
-                  mode: Shots | None = None
+                  mode: Shots | None = None, grads: ParamVector | None = None
                   ) -> tuple[float, ParamVector, np.ndarray]:
     """Mean cross-entropy, gradients for every parameter, and the logits.
 
     The gradient chain: d(loss)/d(logits) -> post layer -> quantum outputs
     -> quantum Jacobian (method-dependent) -> encoding angles -> tanh
     scaling -> pre layer. Every sample adds into one zeroed vector laid
-    out as model.parameters(), divided once by the batch size. Only
-    quantum-node executions touch the ledger.
+    out as model.parameters(), divided once by the batch size: `grads`,
+    refilled and returned, or a new vector without it. Only quantum-node
+    executions touch the ledger.
     In shot mode sample 0 samples under `mode` and sample i > 0 under
     derive_seed(mode.seed, i), so no two samples share shot noise.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
     params = model.parameters()
-    grads = ParamVector(params, np.zeros_like(params.vector))
+    if grads is None:
+        grads = ParamVector(params, np.empty_like(params.vector))
+    grads.vector.fill(0.0)
     total_loss = 0.0
     logits_out = np.zeros((len(batch), 2))
     for i, (features, label) in enumerate(batch):
@@ -177,12 +180,12 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
         logits = logits_out[i] = model.post.apply(z)
         loss, g_logits = cross_entropy(logits, label)
         total_loss += loss
-        grads["post_w"] += np.outer(g_logits, z)
+        grads["post_w"] += g_logits[:, None] * z
         grads["post_b"] += g_logits
         g_z = model.post.weights.T @ g_logits
         grads["theta"] += jac.d_params.T @ g_z
         g_u = encode_features_vjp(u, jac.d_inputs.T @ g_z)
-        grads["pre_w"] += np.outer(g_u, features)
+        grads["pre_w"] += g_u[:, None] * features
         grads["pre_b"] += g_u
     grads.vector /= len(batch)
     return total_loss / len(batch), grads, logits_out
@@ -246,6 +249,7 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
     ledger = CallLedger()
     params = model.parameters()
     opt = OptimizerState.for_params(params)
+    grads = ParamVector(params, np.zeros_like(params.vector))
     shuffle_rng = derive_rng(seed, 0x5F)
     metrics: list[EpochMetrics] = []
 
@@ -258,8 +262,8 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
             s = train_set[idx]
             label = LABELS.index(s.label)
             m = mode and Shots(mode.shots, derive_seed(mode.seed, epoch, step))
-            loss, grads, logits = loss_and_grad(model, [(s.values, label)],
-                                                method, ledger, m)
+            loss, _, logits = loss_and_grad(model, [(s.values, label)],
+                                            method, ledger, m, grads)
             adam_step(params, grads, opt)
             train_loss += loss
             train_correct += int(np.argmax(logits[0]) == label)

@@ -4,10 +4,11 @@
     a (B, 2^Q) stack of float64 amplitudes taken through the H wall, the
     Ry encoding and the CX-brick + Ry layers, with the angles given per
     row; with `tangents` the same loop also carries one tangent row per
-    angle, for backprop's Jacobian in one forward sweep. Every gate in use
-    is a real matrix, so float64 loses nothing, and each Ry uses
-    `apply_gate`'s elementwise formula, so the amplitudes equal the real
-    parts of the register `apply_gate` evolves, bit for bit.
+    angle, for backprop's Jacobian in one forward sweep. Every gate is
+    real, so float64 loses nothing; each Ry, c*a plus the pre-signed sine
+    times the flipped pair, rounds as `apply_gate`'s elementwise formula,
+    so the amplitudes equal the real parts of the register `apply_gate`
+    evolves, bit for bit.
   * `StateVector` + `apply_gate` simulate one complex register gate by
     gate. No runtime path calls them: they are the single-register API
     and the reference the kernel is tested against.
@@ -41,10 +42,7 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 def check_qubits(num_qubits) -> None:
     """Raise CapacityError unless num_qubits is an integer in
     [1, MAX_QUBITS]: the one register-size check."""
-    try:
-        check_int("num_qubits", num_qubits, 1, MAX_QUBITS)
-    except ValueError as exc:
-        raise CapacityError(str(exc)) from None
+    check_int("num_qubits", num_qubits, 1, MAX_QUBITS, CapacityError)
 
 
 @dataclass(frozen=True)
@@ -189,6 +187,7 @@ def estimate_z_from_counts(counts: dict[str, int], qubit: int) -> float:
             raise DataError(
                 f"qubit {qubit} out of range for bitstring {bitstring!r}"
             )
+        check_int(f"count of {bitstring!r}", c, 0, error=DataError)
         # qubit 0 is the least-significant (rightmost) character
         if bitstring[len(bitstring) - 1 - qubit] == "0":
             n0 += c
@@ -222,15 +221,9 @@ def brick_permutation(num_qubits: int) -> np.ndarray:
 _SWAP_SIGN = np.array([[-1.0], [1.0]])
 
 
-def ry_pi(amps: np.ndarray, qubit: int) -> np.ndarray:
-    """Ry(pi) on `qubit` of every row: (a0, a1) -> (-a1, a0), exactly."""
-    v = amps.reshape(len(amps), -1, 2, 1 << qubit)
-    return (v[:, :, ::-1] * _SWAP_SIGN).reshape(amps.shape)
-
-
 @functools.lru_cache(maxsize=None)
 def _ry_pi_table(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, sign) with amps[0, idx[k]] * sign[k] == ry_pi(amps, k)[0]."""
+    """(idx, sign): amps[0, idx[k]] * sign[k] is Ry(pi) on qubit k of row 0."""
     idx = np.arange(1 << num_qubits) ^ (1 << np.arange(num_qubits))[:, None]
     return idx, -z_signs(num_qubits)
 
@@ -258,15 +251,16 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
         amp = _SQRT_HALF * amp
     amps = np.full((len(angles), 1 << num_qubits), amp)
     half = (angles / 2)[:, :, None]
-    c, s = np.cos(half), np.sin(half)
+    c, s = np.cos(half), np.sin(half)[:, :, None] * _SWAP_SIGN
     perm = brick_permutation(num_qubits)
     for j in range(n):
         qubit = j % num_qubits
         if qubit == 0 and j:
             amps = amps[:, perm]
-        # c*(a0, a1) + s*(-a1, a0) rounds as apply_gate's c*a0 - s*a1,
-        # s*a0 + c*a1: negation is exact and addition commutes
-        amps = c[:, j] * amps + s[:, j] * ry_pi(amps, qubit)
+        # c*(a0, a1) + (-s, s)*(a1, a0) rounds as apply_gate's c*a0 - s*a1,
+        # s*a0 + c*a1: (-s)*a1 is exactly -(s*a1) and addition commutes
+        v = amps.reshape(len(amps), -1, 2, 1 << qubit)[:, :, ::-1]
+        amps = c[:, j] * amps + (v * s[:, j, None]).reshape(amps.shape)
         if tangents and qubit == num_qubits - 1:
             idx, sign = _ry_pi_table(num_qubits)
             amps = np.concatenate([amps, amps[0, idx] * sign])

@@ -584,6 +584,20 @@ class TestNumbersBeyondMachineRange:
         assert code == 2 and out == "" and "config error" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        # json.loads raises a plain ValueError, not JSONDecodeError, on an
+        # integer of more than 4,300 digits
+        (b'{"shots": 1' + b"0" * 5000 + b"}", "4300"),
+        (b'{"seed": "\xff"}', "utf-8"),
+    ])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, text,
+                                       message):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text)
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and message in err
+
     def test_eval_shots_exits_2(self, capsys, tmp_path, feature_csv):
         save_checkpoint(tmp_path / "ckpt.json",
                         HybridModel.init(8, CircuitSpec(2, 1), 0), seed=0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -236,6 +237,17 @@ class TestParamVector:
             assert g.base is grads.vector
             assert g.shape == model.parameters()[k].shape
 
+    def test_loss_and_grad_refills_the_given_vector(self):
+        model = tiny_model(n_features=4, q=2, seed=33)
+        batch = [(np.array([0.2, -0.4, 0.1, 0.3]), 0)]
+        _, fresh, _ = loss_and_grad(model, batch, PS, CallLedger())
+        assert not np.shares_memory(fresh.vector, model.parameters().vector)
+        given = ParamVector(fresh, np.full_like(fresh.vector, 7.0))
+        _, grads, _ = loss_and_grad(model, batch, PS, CallLedger(),
+                                    grads=given)
+        assert grads is given
+        assert grads.vector.tobytes() == fresh.vector.tobytes()
+
     def test_constructor_copies_inputs_once(self):
         pre = LinearLayer(np.ones((2, 3)), np.zeros(2))
         post = LinearLayer(np.ones((2, 2)), np.zeros(2))
@@ -352,6 +364,41 @@ class TestTrain:
         model, metrics, _ = train(model, samples, [], epochs=15, method=BP,
                                   seed=17)
         assert metrics[-1].train_acc >= 0.9
+
+
+def pinned_samples(n, seed, prefix):
+    rng = np.random.default_rng(seed)
+    return [FeatureSample(f"{prefix}{i}", "crack" if i % 2 else "no_crack",
+                          rng.normal(size=6)) for i in range(n)]
+
+
+class TestExactTrainingPinned:
+    """Exact-mode training pinned bit for bit to values computed before
+    the training step reused its gradient vector and evolve dropped
+    ry_pi: SHA-256 of the parameter bytes, and per epoch the train and
+    validation losses and the device calls."""
+
+    @pytest.mark.parametrize("method, sha256, epochs", [
+        (BP, "ed32718cad2e2b209c5fcc273b8710c96116a50051f21e22ed0f6cd0a3487159",
+         [(0.667564140991312, 0.6370543181991147, 12),
+          (0.6565364466583052, 0.638630737929567, 12)]),
+        (PS, "b37175a498f8deda915a6e0269ba93a6043f11e3251f9f0bfbcf663d38714f16",
+         [(0.667564140991312, 0.6370543181991147, 204),
+          (0.6565364466583054, 0.638630737929567, 204)]),
+        (GradMethod.finite_diff(),
+         "636ef0c9230dea55f864d9de65b91c872737e4c15aca4cf0b051b071965fc9b9",
+         [(0.6675641440166689, 0.6370543532367562, 108),
+          (0.6565364354902813, 0.6386308061383204, 108)]),
+    ])
+    def test_two_epochs(self, method, sha256, epochs):
+        model = HybridModel.init(6, CircuitSpec(num_qubits=4, q_depth=2), 7)
+        model, metrics, _ = train(model, pinned_samples(8, 51, "t"),
+                                  pinned_samples(4, 52, "v"), 2, method,
+                                  seed=5)
+        vector = model.parameters().vector
+        assert hashlib.sha256(vector.tobytes()).hexdigest() == sha256
+        assert [(m.train_loss, m.val_loss, m.n_calls)
+                for m in metrics] == epochs
 
 
 class TestEvaluateTest:

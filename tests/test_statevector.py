@@ -219,6 +219,24 @@ class TestEstimateZFromCounts:
         with pytest.raises(DataError, match="empty shot counts"):
             estimate_z_from_counts({"0": 0}, 0)
 
+    @pytest.mark.parametrize("counts, bad", [
+        ({"0": 2, "1": -1}, "'1'"),
+        ({"0": 2.5}, "'0'"),
+        ({"00": 3, "01": True}, "'01'"),
+        ({"1": "4"}, "'1'"),
+    ])
+    def test_count_must_be_a_nonnegative_int(self, counts, bad):
+        with pytest.raises(DataError, match=f"count of {bad} must be an "
+                                            f"integer >= 0"):
+            estimate_z_from_counts(counts, 0)
+
+    def test_reads_sampled_counts(self):
+        s = apply_gate(zero_state(2), Gate("ry", 1, theta=1.1))
+        counts = sample(s, 999, seed=4)
+        assert all(type(c) is int for c in counts.values())
+        n1 = sum(c for b, c in counts.items() if b[0] == "1")
+        assert estimate_z_from_counts(counts, 1) == (999 - 2 * n1) / 999
+
 
 class TestKernel:
     """evolve against the gate-by-gate register and the dense oracle."""
