@@ -77,10 +77,6 @@ class CallLedger:
     def n_calls(self) -> int:
         return self.n_forward + self.n_backward
 
-    def to_dict(self, **extra) -> dict:
-        return {"n_forward": self.n_forward, "n_backward": self.n_backward,
-                "n_calls": self.n_calls, **extra}
-
 
 @dataclass
 class QNodeJacobian:

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .autodiff import (BACKPROP, FINITE_DIFF, PARAM_SHIFT, CallLedger,
 from .backends import BackendProfile, estimate_runtime, load_profile
 from .circuit import CircuitSpec, QNodeInput, Shots
 from .data import SplitConfig, write_atomic
-from .errors import ConfigError, ReconciliationError, check_int, check_real
+from .errors import ConfigError, ReconciliationError, check_int
 from .model import (EpochMetrics, HybridModel, evaluate_test,
                     load_checkpoint, save_checkpoint, train)
 
@@ -160,14 +160,17 @@ def cmd_train(args) -> tuple[int, dict | None, list[str]]:
     write_atomic(out / "run_config.json", json.dumps(cfg.doc, indent=2))
     write_atomic(out / "split.json",
                  data_mod.split_record((train_set, val_set, test_set), cfg.split))
-    rows = [EpochMetrics.CSV_HEADER] + [m.csv_row() for m in metrics]
+    rows = [",".join(f.name for f in fields(EpochMetrics)),
+            *(m.csv_row() for m in metrics)]
     write_atomic(out / "metrics.csv", "\n".join(rows) + "\n")
     save_checkpoint(out / "checkpoint.json", model, seed)
 
     predicted = ledger.reconcile["predicted"]
     doc_out = {
         "config": cfg.doc,
-        "ledger": ledger.to_dict(method=cfg.method.kind, predicted=predicted),
+        "ledger": {"n_forward": ledger.n_forward,
+                   "n_backward": ledger.n_backward, "n_calls": ledger.n_calls,
+                   "method": cfg.method.kind, "predicted": predicted},
         "reconcile": ledger.reconcile,
         "wall_seconds": wall_s,
         "splits": {"train": len(train_set), "val": len(val_set),
@@ -218,12 +221,14 @@ def cmd_eval(args) -> tuple[int, dict | None, list[str]]:
           if report.misclassified else [])]
 
 
+# gradcheck's bounds: the shift rule is exact, finite differences truncate.
+TOL_SHIFT, TOL_FD = 1e-10, 1e-3
+
+
 def cmd_gradcheck(args) -> tuple[int, dict | None, list[str]]:
     with _usage():
         check_int("trials", args.trials, 1)
         check_int("seed", args.seed, 0)
-        check_real("tol_shift", args.tol_shift, 0)
-        check_real("tol_fd", args.tol_fd, 0)
         spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
         methods = (GradMethod.backprop(), GradMethod.param_shift(),
                    GradMethod(FINITE_DIFF, args.fd_delta, args.fd_variant))
@@ -239,24 +244,24 @@ def cmd_gradcheck(args) -> tuple[int, dict | None, list[str]]:
                       (jacobian(spec, qinput, m, ledger) for m in methods)]
         max_shift = max(max_shift, float(np.max(np.abs(ps - bp))))
         max_fd = max(max_fd, float(np.max(np.abs(fd - bp))))
-    ok_shift = max_shift <= args.tol_shift
-    ok_fd = max_fd <= args.tol_fd
+    ok_shift = max_shift <= TOL_SHIFT
+    ok_fd = max_fd <= TOL_FD
     doc = {
         "trials": args.trials,
         "qubits": args.qubits,
         "q_depth": args.q_depth,
         "max_dev_param_shift_vs_backprop": max_shift,
-        "tol_shift": args.tol_shift,
+        "tol_shift": TOL_SHIFT,
         "max_dev_finite_diff_vs_backprop": max_fd,
-        "tol_fd": args.tol_fd,
+        "tol_fd": TOL_FD,
         "pass": ok_shift and ok_fd,
     }
     return 0 if doc["pass"] else 1, doc, [
         f"param-shift vs backprop: max dev {max_shift:.3e} "
-        f"(tol {args.tol_shift:.0e}) {'pass' if ok_shift else 'FAIL'}",
+        f"(tol {TOL_SHIFT:.0e}) {'pass' if ok_shift else 'FAIL'}",
         f"finite-diff ({args.fd_variant}, d={args.fd_delta:g}) vs "
         f"backprop: max dev {max_fd:.3e} "
-        f"(tol {args.tol_fd:.0e}) {'pass' if ok_fd else 'FAIL'}"]
+        f"(tol {TOL_FD:.0e}) {'pass' if ok_fd else 'FAIL'}"]
 
 
 def cmd_ledger(args) -> tuple[int, dict | None, list[str]]:
@@ -355,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=int, default=CircuitSpec.num_qubits)
     p.add_argument("--q-depth", type=int, default=CircuitSpec.q_depth)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tol-shift", type=float, default=1e-10)
-    p.add_argument("--tol-fd", type=float, default=1e-3)
     p.add_argument("--fd-delta", type=float, default=GradMethod.fd_delta)
     p.add_argument("--fd-variant", choices=("forward", "central"),
                    default=GradMethod.fd_variant)

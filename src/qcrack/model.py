@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -229,12 +229,9 @@ class EpochMetrics:
     n_calls: int
     elapsed_ms: float
 
-    CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,n_calls,elapsed_ms"
-
     def csv_row(self) -> str:
-        return (f"{self.epoch},{self.train_loss:.10g},{self.train_acc:.10g},"
-                f"{self.val_loss:.10g},{self.val_acc:.10g},{self.n_calls},"
-                f"{self.elapsed_ms:.3f}")
+        return ",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
+                        for v in astuple(self))
 
 
 def train(model: HybridModel, train_set, val_set, epochs: int,

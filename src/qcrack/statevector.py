@@ -19,8 +19,8 @@ Conventions:
   * Bitstrings are printed most-significant qubit first ("b_{Q-1}...b_0"),
     matching ket notation, so the two-qubit index 2 prints as "10".
   * Sampling uses numpy's PCG64 generator seeded explicitly per call;
-    independent streams are derived via numpy.random.SeedSequence so
-    results are reproducible across platforms.
+    independent streams are derived via numpy.random.SeedSequence, so
+    results repeat bit for bit on one numpy build at one SIMD level.
 """
 
 from __future__ import annotations

@@ -112,7 +112,9 @@ class TestSplit:
         import json
         samples = dummy_samples(4, 2)
         cfg = SplitConfig((0.5, 0.25, 0.25), seed=9)
-        doc = json.loads(split_record(split(samples, cfg), cfg))
+        with pytest.warns(UserWarning, match="rounds to zero"):
+            parts = split(samples, cfg)
+        doc = json.loads(split_record(parts, cfg))
         assert doc["seed"] == 9
         assert len(doc["train"]) + len(doc["val"]) + len(doc["test"]) == 6
 

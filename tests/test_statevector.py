@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dense_oracle import apply_dense
 from conftest import random_gate_sequence
@@ -260,6 +261,19 @@ class TestKernel:
             oracle_z = [np.sum(np.abs(dense) ** 2 * (1 - 2 * ((np.arange(
                 1 << q) >> k) & 1))) for k in range(q)]
             assert np.max(np.abs(got_z - oracle_z)) <= 1e-12
+
+    @given(q=st.integers(1, 8), depth=st.integers(1, 3), b=st.integers(1, 40),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_row_independent_of_stack(self, q, depth, b, data):
+        # a row's amplitudes are the same bits whatever rows share its stack
+        angles = data.draw(arrays(np.float64, (b, q * (depth + 1)),
+                                  elements=st.floats(-7, 7)))
+        amps = evolve(q, depth, angles)
+        for i in range(b):
+            alone = evolve(q, depth, angles[i:i + 1])[0]
+            assert np.array_equal(amps[i].view(np.int64),
+                                  alone.view(np.int64))
 
     @pytest.mark.parametrize("q,depth", [(1, 1), (3, 2), (4, 1), (5, 3)])
     def test_tangent_rows(self, q, depth):
