@@ -16,9 +16,9 @@ import numpy as np
 
 from .data import derive_seed
 from .errors import DataError, check_int
-from .statevector import MAX_SHOTS, Gate, StateVector, apply_gates, brick_pairs
-from .statevector import check_qubits, estimate_z_from_counts, evolve, sample
-from .statevector import sampled_z_rows, z_expectations, z_rows
+from .statevector import BLOCK_AMPS, MAX_SHOTS, Gate, StateVector, apply_gates
+from .statevector import brick_pairs, check_qubits, estimate_z_from_counts
+from .statevector import evolve, sample, sampled_z_rows, z_expectations, z_rows
 
 # keys older configs and checkpoints carry, with the one value each can hold
 _FIXED_KEYS = {"entanglement": "parallel-brick", "input_scaling": "tanh-halfpi"}
@@ -133,15 +133,13 @@ def evaluate_angles(spec: CircuitSpec, angles: np.ndarray, params: np.ndarray,
     ])
 
 
-BLOCK_AMPS = 1 << 13  # amplitudes per block, or one row of 2^Q for Q >= 14
-
-
 def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
                   mode: Shots | None = None, keys: tuple = ()) -> np.ndarray:
     """(B, Q) per-qubit <Z> of one circuit per row of L*Q angles: the Q
     encoding angles, then the variational ones, run through the kernel in
     blocks of max(1, BLOCK_AMPS >> Q) rows. In shot mode row i samples
-    with seed derive_seed(mode.seed, *keys, i)."""
+    with seed derive_seed(mode.seed, *keys, i). One block's readout is
+    returned as it is, without a stacking copy."""
     step = max(1, BLOCK_AMPS >> spec.num_qubits)
     z = []
     for start in range(0, len(angles), step):
@@ -152,4 +150,4 @@ def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
             seeds = [derive_seed(mode.seed, *keys, start + i)
                      for i in range(len(amps))]
             z.append(sampled_z_rows(amps, mode.shots, seeds))
-    return np.vstack(z)
+    return z[0] if len(z) == 1 else np.vstack(z)

@@ -45,7 +45,9 @@ class LinearLayer:
         return self.weights.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ x + self.bias
+        """W x + b for one input vector, or for each row of a stack: the
+        same bits either way."""
+        return (self.weights @ x[..., None])[..., 0] + self.bias
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator
@@ -118,18 +120,18 @@ class HybridModel:
                      ) -> np.ndarray:
         """(B, 2) logits of B feature vectors, their circuits run as rows of
         one evaluate_rows call; in shot mode row i samples with seed
-        derive_seed(mode.seed, *keys, i). The linear layers run per row."""
+        derive_seed(mode.seed, *keys, i). The linear layers and the
+        encoding run once on the stack."""
         features = np.asarray(features, dtype=float)
         if features.ndim != 2 or features.shape[1] != self.pre.in_dim:
             raise ValueError(f"expected rows of {self.pre.in_dim} features, "
                              f"got {features.shape}")
-        angles = np.array([encode_features(self.pre.apply(x))
-                           for x in features])
+        angles = encode_features(self.pre.apply(features))
         params = np.tile(self.qparams, (len(angles), 1))
         z = evaluate_rows(self.qspec, np.hstack([angles, params]), mode, keys)
         if ledger is not None:
             ledger.add_forward(len(angles))
-        return np.array([self.post.apply(zi) for zi in z])
+        return self.post.apply(z)
 
     def parameters(self) -> ParamVector:
         return self._params

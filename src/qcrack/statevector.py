@@ -8,7 +8,10 @@
     real, so float64 loses nothing; each Ry, c*a plus the pre-signed sine
     times the flipped pair, rounds as `apply_gate`'s elementwise formula,
     so the amplitudes equal the real parts of the register `apply_gate`
-    evolves, bit for bit.
+    evolves, bit for bit. Each Ry is three in-place ufuncs on the buffers
+    of a plan built once per register shape and cached; the result is a
+    copy, and the shared buffers make `evolve` not reentrant across
+    threads (nothing in qcrack calls it from more than one).
   * `StateVector` + `apply_gate` simulate one complex register gate by
     gate. No runtime path calls them: they are the single-register API
     and the reference the kernel is tested against.
@@ -220,6 +223,10 @@ def brick_permutation(num_qubits: int) -> np.ndarray:
 
 _SWAP_SIGN = np.array([[-1.0], [1.0]])
 
+# amplitudes per evaluate_rows block (or one row of 2^Q for Q >= 14), and
+# the most a cached plan buffer of evolve holds
+BLOCK_AMPS = 1 << 13
+
 
 @functools.lru_cache(maxsize=None)
 def _ry_pi_table(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +235,44 @@ def _ry_pi_table(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, -z_signs(num_qubits)
 
 
+@functools.lru_cache(maxsize=16)
+def _gate_plan(num_qubits: int, q_depth: int, rows: int, tangents: bool):
+    """Two (total_rows, 2^Q) buffers and, per Ry gate, the views it reads
+    and writes: (brick source or None, state, its pair-flipped view, the
+    scratch view the flipped product goes to, the scratch rows, tangent
+    rows or None). A brick copies the state into the other buffer, so the
+    two swap roles there. Returns (initial rows, final state, steps)."""
+    dim = 1 << num_qubits
+    n = (q_depth + 1) * num_qubits
+    bufs = np.empty((2, rows + n if tangents else rows, dim))
+    live, cur, steps = rows, 0, []
+    for j in range(n):
+        qubit = j % num_qubits
+        src = None
+        if qubit == 0 and j:
+            src, cur = bufs[cur, :live], cur ^ 1
+        a, t = bufs[cur, :live], bufs[cur ^ 1, :live]
+        shape = (live, dim >> (qubit + 1), 2, 1 << qubit)
+        tan = None
+        if tangents and qubit == num_qubits - 1:
+            tan = bufs[cur, live:live + num_qubits]
+            live += num_qubits
+        steps.append((src, a, a.reshape(shape)[:, :, ::-1], t.reshape(shape),
+                      t, tan))
+    return bufs[0, :rows], bufs[cur], steps
+
+
 def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
            tangents: bool = False) -> np.ndarray:
     """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
     encoding, then q_depth blocks of a CX brick and one Ry per wire, with
     one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q).
+
+    Each Ry is three in-place ufuncs and each brick one np.take on the
+    buffers of `_gate_plan`, cached per shape when they hold at most
+    BLOCK_AMPS amplitudes each and built for the call otherwise. The
+    result is a copy, so later calls do not change it; the cached buffers
+    make evolve not reentrant across threads.
 
     With tangents and one row of angles, each Ry wall appends Ry(pi) of
     the ket on each of its wires, and those rows take the rest of the
@@ -244,27 +284,31 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     n = (q_depth + 1) * num_qubits
     if angles.ndim != 2 or angles.shape[1] != n:
         raise ValueError(f"expected (B, {n}) angles, got {angles.shape}")
+    size = (len(angles) + n if tangents else len(angles)) << num_qubits
+    plan = _gate_plan if size <= BLOCK_AMPS else _gate_plan.__wrapped__
+    start, out, steps = plan(num_qubits, q_depth, len(angles), tangents)
     # the H wall on |0...0> leaves every amplitude equal to (1/sqrt 2)^Q,
     # rounded once per gate as apply_gate rounds it
     amp = 1.0
     for _ in range(num_qubits):
         amp = _SQRT_HALF * amp
-    amps = np.full((len(angles), 1 << num_qubits), amp)
-    half = (angles / 2)[:, :, None]
-    c, s = np.cos(half), np.sin(half)[:, :, None] * _SWAP_SIGN
+    start.fill(amp)
+    half = angles / 2  # c[j] and s[j] are gate j's, one entry per row
+    c = np.cos(half).T[:, :, None]
+    s = np.sin(half).T[:, :, None, None, None] * _SWAP_SIGN
     perm = brick_permutation(num_qubits)
-    for j in range(n):
-        qubit = j % num_qubits
-        if qubit == 0 and j:
-            amps = amps[:, perm]
+    idx, sign = _ry_pi_table(num_qubits)
+    for c_j, s_j, (src, a, flipped, t4, t, tan) in zip(c, s, steps):
+        if src is not None:  # mode="raise" would buffer a copy of out
+            np.take(src, perm, axis=1, out=a, mode="clip")
         # c*(a0, a1) + (-s, s)*(a1, a0) rounds as apply_gate's c*a0 - s*a1,
         # s*a0 + c*a1: (-s)*a1 is exactly -(s*a1) and addition commutes
-        v = amps.reshape(len(amps), -1, 2, 1 << qubit)[:, :, ::-1]
-        amps = c[:, j] * amps + (v * s[:, j, None]).reshape(amps.shape)
-        if tangents and qubit == num_qubits - 1:
-            idx, sign = _ry_pi_table(num_qubits)
-            amps = np.concatenate([amps, amps[0, idx] * sign])
-    return amps
+        np.multiply(flipped, s_j, out=t4)
+        a *= c_j
+        a += t
+        if tan is not None:
+            np.multiply(a[0, idx], sign, out=tan)
+    return out.copy()
 
 
 def z_rows(amps: np.ndarray) -> np.ndarray:

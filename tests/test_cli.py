@@ -539,32 +539,50 @@ class TestFlagValidation:
     any work."""
 
     @pytest.mark.parametrize("argv", [
-        ["gradcheck", "--qubits", "0", "--trials", "1"],
-        ["gradcheck", "--fd-delta", "-1", "--trials", "1"],
-        ["estimate", "--profile", "ibmq_lima", "--n-calls", "0"],
-        ["estimate", "--clops", "0", "--n-calls", "10"],
-        ["estimate", "--profile", "ibmq_lima", "--overhead", "0.5",
-         "--n-calls", "10"],
-        ["ledger", "-1", "184", "2", "4"],
-        ["gen", "-1", "2", "--out", "{tmp}/patches"],
-        ["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
-         "{features}", "--shots", "0", "--out", "{tmp}/patches"],
-        ["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
-         "{features}", "--shots", "8", "--seed", "-1", "--out",
-         "{tmp}/patches"],
-        ["gradcheck", "--trials", "0", "--json"],
-        ["gradcheck", "--trials", "-3", "--json"],
-        ["gradcheck", "--seed", "-1", "--trials", "1"],
-        ["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
-         "{features}", "--manifest", "{features}", "--out", "{tmp}/patches"],
-        ["eval", "--checkpoint", "{tmp}/ckpt.json", "--data-dir", "{tmp}",
-         "--out", "{tmp}/patches"],
-        ["ledger", "5", "5", "0", "4"],
-        ["ledger", "5", "5", "1", "4"],
-        ["estimate", "--profile", "ibmq_lima", "--overhead", "inf",
-         "--n-calls", "10", "--json"],
-        ["eval", "--checkpoint", "{tmp}/missing.json", "--features",
-         "{features}", "--seed", "3", "--out", "{tmp}/patches"],
+        pytest.param(["gradcheck", "--qubits", "0", "--trials", "1"],
+                     id="gradcheck-qubits-0"),
+        pytest.param(["gradcheck", "--fd-delta", "-1", "--trials", "1"],
+                     id="gradcheck-fd-delta-negative"),
+        pytest.param(["estimate", "--profile", "ibmq_lima", "--n-calls", "0"],
+                     id="estimate-n-calls-0"),
+        pytest.param(["estimate", "--clops", "0", "--n-calls", "10"],
+                     id="estimate-clops-0"),
+        pytest.param(["estimate", "--profile", "ibmq_lima", "--overhead",
+                      "0.5", "--n-calls", "10"],
+                     id="estimate-overhead-below-1"),
+        pytest.param(["ledger", "-1", "184", "2", "4"],
+                     id="ledger-T-negative"),
+        pytest.param(["gen", "-1", "2", "--out", "{tmp}/patches"],
+                     id="gen-count-negative"),
+        pytest.param(["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
+                      "{features}", "--shots", "0", "--out", "{tmp}/patches"],
+                     id="eval-shots-0"),
+        pytest.param(["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
+                      "{features}", "--shots", "8", "--seed", "-1", "--out",
+                      "{tmp}/patches"],
+                     id="eval-seed-negative"),
+        pytest.param(["gradcheck", "--trials", "0", "--json"],
+                     id="gradcheck-trials-0"),
+        pytest.param(["gradcheck", "--trials", "-3", "--json"],
+                     id="gradcheck-trials-negative"),
+        pytest.param(["gradcheck", "--seed", "-1", "--trials", "1"],
+                     id="gradcheck-seed-negative"),
+        pytest.param(["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
+                      "{features}", "--manifest", "{features}", "--out",
+                      "{tmp}/patches"],
+                     id="eval-features-with-manifest"),
+        pytest.param(["eval", "--checkpoint", "{tmp}/ckpt.json", "--data-dir",
+                      "{tmp}", "--out", "{tmp}/patches"],
+                     id="eval-data-dir-without-manifest"),
+        pytest.param(["ledger", "5", "5", "0", "4"], id="ledger-L-0"),
+        pytest.param(["ledger", "5", "5", "1", "4"], id="ledger-L-1"),
+        pytest.param(["estimate", "--profile", "ibmq_lima", "--overhead",
+                      "inf", "--n-calls", "10", "--json"],
+                     id="estimate-overhead-inf"),
+        pytest.param(["eval", "--checkpoint", "{tmp}/missing.json",
+                      "--features", "{features}", "--seed", "3", "--out",
+                      "{tmp}/patches"],
+                     id="eval-seed-without-shots"),
     ])
     def test_rejected_flag_exits_2(self, capsys, tmp_path, feature_csv,
                                    argv):

@@ -8,7 +8,8 @@ import pytest
 
 from qcrack import model as model_mod
 from qcrack.autodiff import CallLedger, GradMethod, ledger_predict
-from qcrack.circuit import CircuitSpec, Shots, encode_features, evaluate_angles
+from qcrack.circuit import (CircuitSpec, Shots, encode_features,
+                            evaluate_angles, evaluate_rows)
 from qcrack.data import FeatureSample
 from qcrack.errors import DataError, FormatError, ReconciliationError
 from qcrack.model import (HybridModel, LinearLayer, OptimizerState,
@@ -66,6 +67,25 @@ class TestForward:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             tiny_model(n_features=4).forward(np.zeros(5))
+
+    @pytest.mark.parametrize("q,f,b", [(2, 8, 1), (4, 64, 17), (4, 512, 184),
+                                       (6, 512, 40), (10, 512, 64)])
+    def test_stacked_layers_match_rows(self, q, f, b):
+        # the layers and the encoding run once on the whole stack and give
+        # each row the bits of W @ x + b, encode_features and W2 @ z + b2
+        model = HybridModel.init(f, CircuitSpec(num_qubits=q, q_depth=1), q)
+        rng = np.random.default_rng(f + b)
+        model.pre.bias[:] = rng.normal(size=q)
+        model.post.bias[:] = rng.normal(size=2)
+        xs = rng.normal(size=(b, f))
+        angles = np.array([encode_features(model.pre.weights @ x
+                                           + model.pre.bias) for x in xs])
+        params = np.tile(model.qparams, (b, 1))
+        z = evaluate_rows(model.qspec, np.hstack([angles, params]))
+        want = np.array([model.post.weights @ zi + model.post.bias
+                         for zi in z])
+        got = model.forward_rows(xs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestLossAndGrad:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from dense_oracle import apply_dense
 from conftest import random_gate_sequence
 from qcrack.circuit import CircuitSpec, build_from_angles
 from qcrack.errors import CapacityError, DataError
-from qcrack.statevector import (Gate, StateVector, apply_gate,
-                                apply_gates, brick_pairs, brick_permutation,
-                                check_qubits,
+from qcrack.statevector import (BLOCK_AMPS, Gate, StateVector, _gate_plan,
+                                apply_gate, apply_gates, brick_pairs,
+                                brick_permutation, check_qubits,
                                 estimate_z_from_counts, evolve, sample,
                                 sampled_z_rows, z_expectation, z_rows,
                                 zero_state)
@@ -286,6 +287,48 @@ class TestKernel:
         assert np.array_equal(rows[:1], evolve(q, depth, angles))
         shifted = evolve(q, depth, angles + math.pi * np.eye(angles.size))
         assert np.max(np.abs(rows[1:] - shifted)) <= 1e-12
+
+    @pytest.mark.parametrize("q,depth,b,sha256", [
+        (4, 0, 3, "564dbefb35113bbb5055078ffea0f577"
+                  "cf69830662aa0e8223be0906e56f34aa"),
+        (3, 2, 1, "d902a2be5e533954a6af78d3c8117872"
+                  "fd3341db0d3e402cf262e9346d784b5c"),
+    ])
+    def test_tangent_rows_pinned(self, q, depth, b, sha256):
+        # the bytes of the loop that concatenated each wall's tangent rows
+        angles = np.random.default_rng(3).uniform(-3, 3,
+                                                  size=(b, q * (depth + 1)))
+        rows = evolve(q, depth, angles, tangents=True)
+        assert rows.shape == (b + angles.shape[1], 1 << q)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == sha256
+
+    def test_tangent_rows_need_one_row_past_one_wall(self):
+        # later walls take one angle per ket row, so B > 1 cannot carry them
+        with pytest.raises(ValueError):
+            evolve(4, 1, np.zeros((3, 8)), tangents=True)
+
+    def test_results_do_not_alias(self):
+        rng = np.random.default_rng(5)
+        first_angles, second_angles = rng.uniform(-3, 3, size=(2, 4, 8))
+        first = evolve(4, 1, first_angles)
+        kept = first.copy()
+        second = evolve(4, 1, second_angles)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+
+    def test_plan_cache_holds_small_plans_only(self):
+        _gate_plan.cache_clear()
+        shapes = [(4, 1, 17, False), (4, 1, 1, True), (10, 3, 8, False),
+                  (10, 3, 9, False), (14, 1, 1, False)]
+        for q, depth, b, tangents in shapes:
+            evolve(q, depth, np.zeros((b, q * (depth + 1))), tangents)
+        cached = shapes[:3]
+        assert _gate_plan.cache_info().currsize == len(cached)
+        for key in cached:
+            hits = _gate_plan.cache_info().hits
+            assert _gate_plan(*key)[1].size <= BLOCK_AMPS
+            assert _gate_plan.cache_info().hits == hits + 1
+        assert _gate_plan.cache_info().currsize == len(cached)
 
     def test_sampled_rows_match_sample(self):
         angles = np.random.default_rng(3).uniform(-3, 3, size=(5, 6))
