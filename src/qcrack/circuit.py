@@ -139,10 +139,11 @@ def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
     encoding angles, then the variational ones, run through the kernel in
     blocks of max(1, BLOCK_AMPS >> Q) rows. In shot mode row i samples
     with seed derive_seed(mode.seed, *keys, i). One block's readout is
-    returned as it is, without a stacking copy."""
+    returned as it is, without a stacking copy; zero rows run one empty
+    block and read out as (0, Q)."""
     step = max(1, BLOCK_AMPS >> spec.num_qubits)
     z = []
-    for start in range(0, len(angles), step):
+    for start in range(0, max(len(angles), 1), step):
         amps = evolve(spec.num_qubits, spec.q_depth, angles[start:start + step])
         if mode is None:
             z.append(z_rows(amps))

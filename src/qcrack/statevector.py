@@ -9,9 +9,12 @@
     times the flipped pair, rounds as `apply_gate`'s elementwise formula,
     so the amplitudes equal the real parts of the register `apply_gate`
     evolves, bit for bit. Each Ry is three in-place ufuncs on the buffers
-    of a plan built once per register shape and cached; the result is a
-    copy, and the shared buffers make `evolve` not reentrant across
-    threads (nothing in qcrack calls it from more than one).
+    of a plan built once per register shape and cached; when the pairs'
+    runs (2^q amplitudes) are shorter than their count (2^(Q-q-1)), the
+    flipped multiply iterates the count axis, through a transposed view
+    and order="C", so only the order of the same products changes. The
+    result is a copy, and the shared buffers make `evolve` not reentrant
+    across threads (nothing in qcrack calls it from more than one).
   * `StateVector` + `apply_gate` simulate one complex register gate by
     gate. No runtime path calls them: they are the single-register API
     and the reference the kernel is tested against.
@@ -240,8 +243,11 @@ def _gate_plan(num_qubits: int, q_depth: int, rows: int, tangents: bool):
     """Two (total_rows, 2^Q) buffers and, per Ry gate, the views it reads
     and writes: (brick source or None, state, its pair-flipped view, the
     scratch view the flipped product goes to, the scratch rows, tangent
-    rows or None). A brick copies the state into the other buffer, so the
-    two swap roles there. Returns (initial rows, final state, steps)."""
+    rows or None). The two 4-d views are (rows, count, pair, run), or
+    (rows, run, pair, count) when runs are shorter than their count, so a
+    C-order multiply walks the longer axis innermost. A brick copies the
+    state into the other buffer, so the two swap roles there. Returns
+    (initial rows, final state, steps)."""
     dim = 1 << num_qubits
     n = (q_depth + 1) * num_qubits
     bufs = np.empty((2, rows + n if tangents else rows, dim))
@@ -253,12 +259,14 @@ def _gate_plan(num_qubits: int, q_depth: int, rows: int, tangents: bool):
             src, cur = bufs[cur, :live], cur ^ 1
         a, t = bufs[cur, :live], bufs[cur ^ 1, :live]
         shape = (live, dim >> (qubit + 1), 2, 1 << qubit)
+        flipped, t4 = a.reshape(shape)[:, :, ::-1], t.reshape(shape)
+        if shape[3] < shape[1]:  # runs shorter than their count
+            flipped, t4 = (v.transpose(0, 3, 2, 1) for v in (flipped, t4))
         tan = None
         if tangents and qubit == num_qubits - 1:
             tan = bufs[cur, live:live + num_qubits]
             live += num_qubits
-        steps.append((src, a, a.reshape(shape)[:, :, ::-1], t.reshape(shape),
-                      t, tan))
+        steps.append((src, a, flipped, t4, t, tan))
     return bufs[0, :rows], bufs[cur], steps
 
 
@@ -271,19 +279,25 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     Each Ry is three in-place ufuncs and each brick one np.take on the
     buffers of `_gate_plan`, cached per shape when they hold at most
     BLOCK_AMPS amplitudes each and built for the call otherwise. The
-    result is a copy, so later calls do not change it; the cached buffers
-    make evolve not reentrant across threads.
+    flipped multiply runs in C order over the plan's views, so on a qubit
+    whose runs are shorter than their count it iterates the count axis;
+    each product is the same, written to the same address. The result is
+    a copy, so later calls do not change it; the cached buffers make
+    evolve not reentrant across threads.
 
-    With tangents and one row of angles, each Ry wall appends Ry(pi) of
-    the ket on each of its wires, and those rows take the rest of the
-    circuit with the ket. A wall's Ry gates commute and dRy(t)/dt =
-    Ry(pi)Ry(t)/2, so row 1+j is twice d|psi>/d angle_j: 1+L*Q rows in
-    all, and row 0 is the ket bit for bit."""
+    Tangents take exactly one row of angles (ValueError otherwise): each
+    Ry wall appends Ry(pi) of the ket on each of its wires, and those rows
+    take the rest of the circuit with the ket. A wall's Ry gates commute
+    and dRy(t)/dt = Ry(pi)Ry(t)/2, so row 1+j is twice d|psi>/d angle_j:
+    1+L*Q rows in all, and row 0 is the ket bit for bit."""
     check_qubits(num_qubits)
     angles = np.asarray(angles, dtype=float)
     n = (q_depth + 1) * num_qubits
     if angles.ndim != 2 or angles.shape[1] != n:
         raise ValueError(f"expected (B, {n}) angles, got {angles.shape}")
+    if tangents and len(angles) != 1:
+        raise ValueError("tangent rows need exactly one row of angles, "
+                         f"got {len(angles)}")
     size = (len(angles) + n if tangents else len(angles)) << num_qubits
     plan = _gate_plan if size <= BLOCK_AMPS else _gate_plan.__wrapped__
     start, out, steps = plan(num_qubits, q_depth, len(angles), tangents)
@@ -303,7 +317,7 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
             np.take(src, perm, axis=1, out=a, mode="clip")
         # c*(a0, a1) + (-s, s)*(a1, a0) rounds as apply_gate's c*a0 - s*a1,
         # s*a0 + c*a1: (-s)*a1 is exactly -(s*a1) and addition commutes
-        np.multiply(flipped, s_j, out=t4)
+        np.multiply(flipped, s_j, out=t4, order="C")
         a *= c_j
         a += t
         if tan is not None:
@@ -323,6 +337,6 @@ def sampled_z_rows(amps: np.ndarray, shots: int, seeds) -> np.ndarray:
     raw = np.array([
         np.random.default_rng(seed).multinomial(shots, p / p.sum())
         for p, seed in zip(amps * amps, seeds)
-    ])
+    ]).reshape(amps.shape)  # (0, 2^Q) for zero rows, not (0,)
     # integer counts: the signed sums are exact, so one division rounds
     return (raw @ z_signs(amps.shape[1].bit_length() - 1).T) / shots

@@ -175,6 +175,13 @@ class TestEvaluateRows:
         with pytest.raises(ValueError):
             evaluate_rows(CircuitSpec(num_qubits=2, q_depth=1), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("mode", [None, Shots(shots=100, seed=1)],
+                             ids=["exact", "shots"])
+    def test_zero_rows_read_out_empty(self, mode):
+        z = evaluate_rows(CircuitSpec(num_qubits=3, q_depth=2),
+                          np.empty((0, 9)), mode)
+        assert z.shape == (0, 3)
+
 
 class TestShots:
     def test_validation(self):

@@ -68,6 +68,15 @@ class TestForward:
         with pytest.raises(ValueError):
             tiny_model(n_features=4).forward(np.zeros(5))
 
+    @pytest.mark.parametrize("mode", [None, Shots(shots=100, seed=1)],
+                             ids=["exact", "shots"])
+    def test_zero_rows_charge_nothing(self, mode):
+        ledger = CallLedger()
+        logits = tiny_model(n_features=4, q=3).forward_rows(
+            np.empty((0, 4)), ledger, mode)
+        assert logits.shape == (0, 2)
+        assert ledger.n_forward == ledger.n_backward == 0
+
     @pytest.mark.parametrize("q,f,b", [(2, 8, 1), (4, 64, 17), (4, 512, 184),
                                        (6, 512, 40), (10, 512, 64)])
     def test_stacked_layers_match_rows(self, q, f, b):

@@ -263,6 +263,17 @@ class TestKernel:
                 1 << q) >> k) & 1))) for k in range(q)]
             assert np.max(np.abs(got_z - oracle_z)) <= 1e-12
 
+    @pytest.mark.parametrize("q", [9, 10])
+    def test_matches_apply_gate_above_eight_qubits(self, q):
+        # every low qubit's flipped multiply runs along the count axis here
+        spec = CircuitSpec(num_qubits=q, q_depth=3)
+        angles = np.random.default_rng(q).uniform(
+            -2 * math.pi, 2 * math.pi, size=(2, q * spec.num_layers))
+        for row, got in zip(angles, evolve(q, 3, angles)):
+            gates = build_from_angles(spec, row[:q], row[q:])
+            ref = apply_gates(zero_state(q), gates).amps.real
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
     @given(q=st.integers(1, 8), depth=st.integers(1, 3), b=st.integers(1, 40),
            data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -289,10 +300,12 @@ class TestKernel:
         assert np.max(np.abs(rows[1:] - shifted)) <= 1e-12
 
     @pytest.mark.parametrize("q,depth,b,sha256", [
-        (4, 0, 3, "564dbefb35113bbb5055078ffea0f577"
-                  "cf69830662aa0e8223be0906e56f34aa"),
+        (4, 0, 1, "d5eb50c70e4629f4bb552ab496385325"
+                  "6d187ccb3647da6a316450310ccf3a74"),
         (3, 2, 1, "d902a2be5e533954a6af78d3c8117872"
                   "fd3341db0d3e402cf262e9346d784b5c"),
+        (8, 2, 1, "c099b98a53f77195f053226cbb73a33d"
+                  "e7f660015f394971d381cea27bc399be"),
     ])
     def test_tangent_rows_pinned(self, q, depth, b, sha256):
         # the bytes of the loop that concatenated each wall's tangent rows
@@ -302,10 +315,26 @@ class TestKernel:
         assert rows.shape == (b + angles.shape[1], 1 << q)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("q,depth,b,sha256", [
+        (10, 3, 8, "f7928c686af9b046aafff7b6ad69d5e1"
+                   "2a3759f225524f8834d0e232789f32ec"),
+        (12, 2, 2, "fc5febbf152ffc1402227e398ca89b17"
+                   "48096486c9b474fd055c9cd3e78cc6b0"),
+    ])
+    def test_rows_pinned(self, q, depth, b, sha256):
+        # the bytes of the kernel before its low-qubit views were transposed
+        angles = np.random.default_rng(3).uniform(-3, 3,
+                                                  size=(b, q * (depth + 1)))
+        rows = evolve(q, depth, angles)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == sha256
+
     def test_tangent_rows_need_one_row_past_one_wall(self):
-        # later walls take one angle per ket row, so B > 1 cannot carry them
-        with pytest.raises(ValueError):
-            evolve(4, 1, np.zeros((3, 8)), tangents=True)
+        # later walls take one angle per ket row, so only B = 1 carries them
+        for depth in (0, 1):
+            for b in (0, 2, 3):
+                with pytest.raises(ValueError, match="exactly one row"):
+                    evolve(4, depth, np.zeros((b, 4 * (depth + 1))),
+                           tangents=True)
 
     def test_results_do_not_alias(self):
         rng = np.random.default_rng(5)
