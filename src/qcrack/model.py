@@ -52,6 +52,7 @@ class LinearLayer:
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator
              ) -> "LinearLayer":
+        check_int("in_dim", in_dim, 1)
         scale = 1.0 / math.sqrt(in_dim)
         return cls(
             weights=rng.uniform(-scale, scale, size=(out_dim, in_dim)),
@@ -172,8 +173,7 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
     total_loss = 0.0
     logits_out = np.zeros((len(batch), 2))
     for i, (features, label) in enumerate(batch):
-        if label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {label!r}")
+        check_int("label", label, 0, len(LABELS) - 1, DataError)
         features = np.asarray(features, dtype=float)
         u = model.pre.apply(features)
         m = Shots(mode.shots, derive_seed(mode.seed, i)) if mode and i else mode
@@ -243,6 +243,7 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
     per image per epoch. Afterwards the ledger must equal epochs times
     ledger_predict, or ReconciliationError is raised; the returned ledger
     holds the reconcile report in `reconcile`."""
+    check_int("epochs", epochs, 0)
     if epochs and not train_set:
         raise ValueError("training split is empty")
     ledger = CallLedger()

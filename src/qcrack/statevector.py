@@ -1,20 +1,7 @@
 """Exact simulation of small qubit registers, in two forms.
 
-  * `evolve` is the batched kernel the training and evaluation paths run:
-    a (B, 2^Q) stack of float64 amplitudes taken through the H wall, the
-    Ry encoding and the CX-brick + Ry layers, with the angles given per
-    row; with `tangents` the same loop also carries one tangent row per
-    angle, for backprop's Jacobian in one forward sweep. Every gate is
-    real, so float64 loses nothing; each Ry, c*a plus the pre-signed sine
-    times the flipped pair, rounds as `apply_gate`'s elementwise formula,
-    so the amplitudes equal the real parts of the register `apply_gate`
-    evolves, bit for bit. Each Ry is three in-place ufuncs on the buffers
-    of a plan built once per register shape and cached; when the pairs'
-    runs (2^q amplitudes) are shorter than their count (2^(Q-q-1)), the
-    flipped multiply iterates the count axis, through a transposed view
-    and order="C", so only the order of the same products changes. The
-    result is a copy, and the shared buffers make `evolve` not reentrant
-    across threads (nothing in qcrack calls it from more than one).
+  * `evolve` is the batched float64 kernel the training and evaluation
+    paths run: a (B, 2^Q) stack of real amplitudes, angles per row.
   * `StateVector` + `apply_gate` simulate one complex register gate by
     gate. No runtime path calls them: they are the single-register API
     and the reference the kernel is tested against.
@@ -124,8 +111,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply `gate` in place via stride iteration; returns the same register."""
     n = state.num_qubits
     for q in (gate.target, gate.control):
-        if q is not None and not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n}-qubit state")
+        if q is not None:
+            check_int("qubit index", q, 0, n - 1)
     lo, hi = _pair_indices(n, gate.target, gate.control)
     amps = state.amps
     a0 = amps[lo]
@@ -159,8 +146,7 @@ def z_signs(num_qubits: int) -> np.ndarray:
 
 def z_expectation(state: StateVector, qubit: int) -> float:
     """<Z> on one qubit: P(bit=0) - P(bit=1)."""
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit index {qubit} out of range")
+    check_int("qubit", qubit, 0, state.num_qubits - 1)
     amps = state.amps
     probs = amps.real * amps.real + amps.imag * amps.imag
     return float(np.dot(probs, z_signs(state.num_qubits)[qubit]))
@@ -189,10 +175,8 @@ def estimate_z_from_counts(counts: dict[str, int], qubit: int) -> float:
     for bitstring, c in counts.items():
         if not bitstring or any(ch not in "01" for ch in bitstring):
             raise DataError(f"malformed bitstring {bitstring!r}")
-        if qubit >= len(bitstring):
-            raise DataError(
-                f"qubit {qubit} out of range for bitstring {bitstring!r}"
-            )
+        check_int(f"qubit of bitstring {bitstring!r}", qubit, 0,
+                  len(bitstring) - 1, DataError)
         check_int(f"count of {bitstring!r}", c, 0, error=DataError)
         # qubit 0 is the least-significant (rightmost) character
         if bitstring[len(bitstring) - 1 - qubit] == "0":
@@ -275,6 +259,9 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
     encoding, then q_depth blocks of a CX brick and one Ry per wire, with
     one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q).
+    Every gate is real, so float64 loses nothing, and each Ry rounds as
+    apply_gate's formula: the amplitudes equal the real parts of the
+    register apply_gate evolves, bit for bit.
 
     Each Ry is three in-place ufuncs and each brick one np.take on the
     buffers of `_gate_plan`, cached per shape when they hold at most
@@ -291,6 +278,7 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     and dRy(t)/dt = Ry(pi)Ry(t)/2, so row 1+j is twice d|psi>/d angle_j:
     1+L*Q rows in all, and row 0 is the ket bit for bit."""
     check_qubits(num_qubits)
+    check_int("q_depth", q_depth, 0)
     angles = np.asarray(angles, dtype=float)
     n = (q_depth + 1) * num_qubits
     if angles.ndim != 2 or angles.shape[1] != n:

@@ -125,9 +125,12 @@ class TestLossAndGrad:
         assert not np.array_equal(pair[0], pair[1])
         assert np.array_equal(single[0], pair[0])
 
-    def test_bad_label(self):
-        with pytest.raises(DataError):
-            loss_and_grad(tiny_model(), [(np.zeros(4), 2)], BP, CallLedger())
+    @pytest.mark.parametrize("label", [2, -1, True, 1.0])
+    def test_bad_label(self, label):
+        ledger = CallLedger()
+        with pytest.raises(DataError, match="label"):
+            loss_and_grad(tiny_model(), [(np.zeros(4), label)], BP, ledger)
+        assert ledger.n_calls == 0
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
@@ -331,6 +334,11 @@ class TestTrain:
         assert metrics == [] and ledger.n_calls == 0
         for k, v in model.parameters().items():
             assert np.array_equal(v, before[k])
+
+    @pytest.mark.parametrize("epochs", [-1, True, 1.0])
+    def test_epochs_must_be_a_count(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            train(tiny_model(), make_samples(3, 4, 0), [], epochs, BP, seed=1)
 
     def test_one_epoch_backprop_ledger(self):
         samples = make_samples(6, 4, 2)
@@ -599,3 +607,8 @@ class TestLinearLayer:
         layer = LinearLayer.init(100, 4, rng)
         assert np.max(np.abs(layer.weights)) <= 0.1
         assert np.array_equal(layer.bias, np.zeros(4))
+
+    @pytest.mark.parametrize("in_dim", [0, -1, True])
+    def test_init_needs_a_width(self, in_dim):
+        with pytest.raises(ValueError, match="in_dim"):
+            LinearLayer.init(in_dim, 4, np.random.default_rng(0))

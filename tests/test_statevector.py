@@ -78,9 +78,11 @@ class TestApplyGate:
         assert np.allclose(s.amps, expected, atol=1e-12)
         assert np.allclose(s.amps, 0.5)
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_gate(zero_state(2), Gate("x", 2))
+    @pytest.mark.parametrize("q", [2, -1, 1.0, True])
+    def test_index_out_of_range(self, q):
+        for gate in (Gate("x", q), Gate("cx", 0, q)):
+            with pytest.raises(ValueError, match="qubit index"):
+                apply_gate(zero_state(2), gate)
 
     def test_dense_oracle_equivalence(self):
         rng = np.random.default_rng(11)
@@ -146,9 +148,10 @@ class TestZExpectation:
         # analytic: cos^2(a/2) - sin^2(a/2) = cos(a)
         assert z_expectation(s, 0) == pytest.approx(math.cos(0.3), abs=1e-12)
 
-    def test_index_error(self):
-        with pytest.raises(ValueError):
-            z_expectation(zero_state(2), 2)
+    @pytest.mark.parametrize("q", [2, -1, 1.0, True])
+    def test_index_error(self, q):
+        with pytest.raises(ValueError, match="qubit"):
+            z_expectation(zero_state(2), q)
 
 
 class TestSample:
@@ -208,6 +211,11 @@ class TestEstimateZFromCounts:
     def test_malformed_bitstring(self):
         with pytest.raises(DataError):
             estimate_z_from_counts({"2x": 5}, 0)
+
+    @pytest.mark.parametrize("q", [2, -1, True, 0.0])
+    def test_qubit_out_of_range(self, q):
+        with pytest.raises(DataError, match="qubit.*bitstring '01'"):
+            estimate_z_from_counts({"01": 3}, q)
 
     def test_empty_counts(self):
         with pytest.raises(DataError):
@@ -335,6 +343,11 @@ class TestKernel:
                 with pytest.raises(ValueError, match="exactly one row"):
                     evolve(4, depth, np.zeros((b, 4 * (depth + 1))),
                            tangents=True)
+
+    @pytest.mark.parametrize("depth", [-1, True, 1.0])
+    def test_q_depth_must_be_a_count(self, depth):
+        with pytest.raises(ValueError, match="q_depth"):
+            evolve(4, depth, np.zeros((2, int(depth + 1) * 4)))
 
     def test_results_do_not_alias(self):
         rng = np.random.default_rng(5)
