@@ -39,7 +39,7 @@ def load_profile(name_or_path: str) -> BackendProfile:
     """Load a shipped profile by name, or any profile JSON by path. Keys the
     model does not use, such as "qv", are ignored."""
     path = Path(name_or_path)
-    if not (path.suffix == ".json" and path.exists()):
+    if not (path.suffix == ".json" and path.is_file()):
         path = resources.files("qcrack") / "profiles" / f"{name_or_path}.json"
         if not path.is_file():
             raise FileNotFoundError(

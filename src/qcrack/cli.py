@@ -6,8 +6,10 @@ fields; a value one rejects is a config error, raised before any work.
 Each command returns its exit code, its result document and its text
 lines, and prints nothing; `main` alone prints, the document with --json
 and the lines without. Exit codes: 0 success, 1 runtime failure, 2
-config/usage error. Every run artifact is written atomically (temp file +
-rename) together with the exact configuration that produced it.
+config/usage error. Files are written atomically (temp file + rename).
+`train` alone writes a report, and its artifacts sit beside the exact
+configuration that produced them (run_config.json, report.json's
+`config`); the other commands print their result.
 """
 
 from __future__ import annotations
@@ -165,13 +167,10 @@ def cmd_train(args) -> tuple[int, dict | None, list[str]]:
     write_atomic(out / "metrics.csv", "\n".join(rows) + "\n")
     save_checkpoint(out / "checkpoint.json", model, seed)
 
-    predicted = ledger.reconcile["predicted"]
+    rec = ledger.reconcile
     doc_out = {
         "config": cfg.doc,
-        "ledger": {"n_forward": ledger.n_forward,
-                   "n_backward": ledger.n_backward, "n_calls": ledger.n_calls,
-                   "method": cfg.method.kind, "predicted": predicted},
-        "reconcile": ledger.reconcile,
+        "reconcile": rec,
         "wall_seconds": wall_s,
         "splits": {"train": len(train_set), "val": len(val_set),
                    "test": len(test_set)},
@@ -185,7 +184,7 @@ def cmd_train(args) -> tuple[int, dict | None, list[str]]:
         f"L={cfg.circuit.num_layers}, Q={cfg.circuit.num_qubits})",
         *([f"test loss {report.loss:.4f}  test accuracy {report.accuracy:.4f}"]
           if report is not None else []),
-        f"calls: measured {ledger.n_calls}  predicted {predicted}",
+        f"calls: measured {rec['measured']}  predicted {rec['predicted']}",
         f"artifacts written to {out}"]
 
 
@@ -208,13 +207,8 @@ def cmd_eval(args) -> tuple[int, dict | None, list[str]]:
         raise ConfigError(f"checkpoint expects {model.pre.in_dim} features, "
                           f"data has {len(samples[0].values)}")
     report = evaluate_test(model, samples, mode)
-    doc = report.to_dict()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "eval_report.json", json.dumps(doc, indent=2))
     c = report.confusion
-    return 0, doc, [
+    return 0, report.to_dict(), [
         f"loss {report.loss:.4f}  accuracy {report.accuracy:.4f}",
         f"confusion: tp={c['tp']} fp={c['fp']} fn={c['fn']} tn={c['tn']}",
         *([f"misclassified: {', '.join(report.misclassified)}"]
@@ -230,8 +224,8 @@ def cmd_gradcheck(args) -> tuple[int, dict | None, list[str]]:
         check_int("trials", args.trials, 1)
         check_int("seed", args.seed, 0)
         spec = CircuitSpec(num_qubits=args.qubits, q_depth=args.q_depth)
-        methods = (GradMethod.backprop(), GradMethod.param_shift(),
-                   GradMethod(FINITE_DIFF, args.fd_delta, args.fd_variant))
+    fd_method = GradMethod.finite_diff()
+    methods = (GradMethod.backprop(), GradMethod.param_shift(), fd_method)
     rng = np.random.default_rng(args.seed)
     max_shift = max_fd = 0.0
     for _ in range(args.trials):
@@ -259,7 +253,7 @@ def cmd_gradcheck(args) -> tuple[int, dict | None, list[str]]:
     return 0 if doc["pass"] else 1, doc, [
         f"param-shift vs backprop: max dev {max_shift:.3e} "
         f"(tol {TOL_SHIFT:.0e}) {'pass' if ok_shift else 'FAIL'}",
-        f"finite-diff ({args.fd_variant}, d={args.fd_delta:g}) vs "
+        f"finite-diff ({fd_method.fd_variant}, d={fd_method.fd_delta:g}) vs "
         f"backprop: max dev {max_fd:.3e} "
         f"(tol {TOL_FD:.0e}) {'pass' if ok_fd else 'FAIL'}"]
 
@@ -351,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None, help="manifest CSV")
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -360,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=int, default=CircuitSpec.num_qubits)
     p.add_argument("--q-depth", type=int, default=CircuitSpec.q_depth)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--fd-delta", type=float, default=GradMethod.fd_delta)
-    p.add_argument("--fd-variant", choices=("forward", "central"),
-                   default=GradMethod.fd_variant)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gradcheck)

@@ -258,7 +258,10 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
            tangents: bool = False) -> np.ndarray:
     """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
     encoding, then q_depth blocks of a CX brick and one Ry per wire, with
-    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q).
+    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q),
+    plus per-Q tables cached for the life of the process: z_signs (Q*2^Q
+    float64, 160 MiB at Q = 20), _ry_pi_table (an int64 and a float64
+    table of that shape, 320 MiB), brick_permutation and _pair_indices.
     Every gate is real, so float64 loses nothing, and each Ry rounds as
     apply_gate's formula: the amplitudes equal the real parts of the
     register apply_gate evolves, bit for bit.

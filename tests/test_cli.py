@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcrack import cli
 from qcrack.circuit import CircuitSpec, Shots
 from qcrack.cli import _DEFAULTS, main, parse_run_config
 from qcrack.errors import ConfigError
@@ -87,6 +88,16 @@ class TestEstimateCommand:
     def test_missing_profile_is_config_error(self, capsys):
         code, _, err = run(capsys, "estimate", "--n-calls", "10")
         assert code == 2 and "config error" in err
+
+    def test_directory_profile_exits_2(self, capsys, tmp_path):
+        """A .json path that is not a file is looked up as a name."""
+        path = tmp_path / "d.json"
+        path.mkdir()
+        code, out, err = run(capsys, "estimate", "--profile", str(path),
+                             "--n-calls", "10")
+        assert code == 2 and out == ""
+        assert f"config error: no backend profile {str(path)!r}" in err
+        assert "ibmq_kolkata" in err
 
     def test_unknown_profile_exits_2(self, capsys):
         code, out, err = run(capsys, "estimate", "--profile", "nowhere",
@@ -229,20 +240,24 @@ class TestGradcheckCommand:
         assert doc["pass"] is True
         assert (doc["tol_shift"], doc["tol_fd"]) == (1e-10, 1e-3)
 
-    @pytest.mark.parametrize("flag", ["--tol-shift", "--tol-fd"])
+    @pytest.mark.parametrize("flag", ["--tol-shift", "--tol-fd", "--fd-delta",
+                                      "--fd-variant"])
     def test_bounds_are_not_flags(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--trials", "1", flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_coarse_delta_fails(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--trials", "5",
-                           "--fd-delta", "0.1", "--fd-variant", "central",
-                           "--json")
+    def test_coarse_delta_fails(self, capsys, monkeypatch):
+        # forward differences at delta = 1e-4 truncate at about 5e-5, far
+        # above this bound: the check fails, and says so, with exit 1
+        monkeypatch.setattr(cli, "TOL_FD", 1e-8)
+        code, out, _ = run(capsys, "gradcheck", "--trials", "5", "--json")
         assert code == 1
         doc = json.loads(out)
-        assert doc["max_dev_finite_diff_vs_backprop"] > 1e-3
+        assert doc["pass"] is False and doc["tol_fd"] == 1e-8
+        assert doc["max_dev_finite_diff_vs_backprop"] > 1e-8
+        assert doc["max_dev_param_shift_vs_backprop"] <= doc["tol_shift"]
 
     def test_depth_sweep_passes(self, capsys):
         for depth in (2, 6):
@@ -261,7 +276,9 @@ class TestTrainCommand:
                      "split.json", "run_config.json"):
             assert (run_dir / name).exists(), name
         report = json.loads((run_dir / "report.json").read_text())
-        assert report["ledger"]["n_calls"] == report["ledger"]["predicted"]
+        assert "ledger" not in report
+        assert report["reconcile"]["measured"] == \
+            report["reconcile"]["predicted"]
         metrics = (run_dir / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 3  # header + 2 epochs
         assert "test accuracy" in out
@@ -312,7 +329,9 @@ class TestTrainCommand:
         code, _, _ = run(capsys, "train", "--config", str(cfg))
         assert code == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())
-        assert report["ledger"]["n_calls"] == report["ledger"]["predicted"]
+        assert "ledger" not in report
+        assert report["reconcile"]["measured"] == \
+            report["reconcile"]["predicted"]
 
     @pytest.mark.parametrize("flag", [("--seed", "3"), ("--out", "d")])
     def test_non_object_config_with_override_exits_2(self, capsys, tmp_path,
@@ -355,8 +374,9 @@ class TestTrainReconciliation:
         code, _, _ = run(capsys, "train", "--config", str(cfg))
         assert code == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())
-        assert report["reconcile"]["ok"]
-        assert report["reconcile"]["measured"] == report["ledger"]["predicted"]
+        assert "ledger" not in report and report["reconcile"]["ok"]
+        assert report["reconcile"]["measured"] == \
+            report["reconcile"]["predicted"]
 
     def test_ledger_off_by_one_exits_1(self, capsys, tmp_path, feature_csv,
                                        monkeypatch):
@@ -392,6 +412,15 @@ class TestEvalCommand:
         assert code == 0
         doc = json.loads(out)
         assert sum(doc["confusion_matrix"].values()) == 24
+
+    def test_out_is_not_a_flag(self, capsys, tmp_path, feature_csv):
+        # eval prints its report (--json gives the document); only train
+        # writes one
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                  "--features", str(feature_csv), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
 
     def test_feature_width_mismatch_exits_2(self, capsys, tmp_path,
                                             feature_csv):
@@ -541,8 +570,6 @@ class TestFlagValidation:
     @pytest.mark.parametrize("argv", [
         pytest.param(["gradcheck", "--qubits", "0", "--trials", "1"],
                      id="gradcheck-qubits-0"),
-        pytest.param(["gradcheck", "--fd-delta", "-1", "--trials", "1"],
-                     id="gradcheck-fd-delta-negative"),
         pytest.param(["estimate", "--profile", "ibmq_lima", "--n-calls", "0"],
                      id="estimate-n-calls-0"),
         pytest.param(["estimate", "--clops", "0", "--n-calls", "10"],
@@ -555,11 +582,10 @@ class TestFlagValidation:
         pytest.param(["gen", "-1", "2", "--out", "{tmp}/patches"],
                      id="gen-count-negative"),
         pytest.param(["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
-                      "{features}", "--shots", "0", "--out", "{tmp}/patches"],
+                      "{features}", "--shots", "0"],
                      id="eval-shots-0"),
         pytest.param(["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
-                      "{features}", "--shots", "8", "--seed", "-1", "--out",
-                      "{tmp}/patches"],
+                      "{features}", "--shots", "8", "--seed", "-1"],
                      id="eval-seed-negative"),
         pytest.param(["gradcheck", "--trials", "0", "--json"],
                      id="gradcheck-trials-0"),
@@ -568,11 +594,10 @@ class TestFlagValidation:
         pytest.param(["gradcheck", "--seed", "-1", "--trials", "1"],
                      id="gradcheck-seed-negative"),
         pytest.param(["eval", "--checkpoint", "{tmp}/ckpt.json", "--features",
-                      "{features}", "--manifest", "{features}", "--out",
-                      "{tmp}/patches"],
+                      "{features}", "--manifest", "{features}"],
                      id="eval-features-with-manifest"),
         pytest.param(["eval", "--checkpoint", "{tmp}/ckpt.json", "--data-dir",
-                      "{tmp}", "--out", "{tmp}/patches"],
+                      "{tmp}"],
                      id="eval-data-dir-without-manifest"),
         pytest.param(["ledger", "5", "5", "0", "4"], id="ledger-L-0"),
         pytest.param(["ledger", "5", "5", "1", "4"], id="ledger-L-1"),
@@ -580,8 +605,7 @@ class TestFlagValidation:
                       "inf", "--n-calls", "10", "--json"],
                      id="estimate-overhead-inf"),
         pytest.param(["eval", "--checkpoint", "{tmp}/missing.json",
-                      "--features", "{features}", "--seed", "3", "--out",
-                      "{tmp}/patches"],
+                      "--features", "{features}", "--seed", "3"],
                      id="eval-seed-without-shots"),
     ])
     def test_rejected_flag_exits_2(self, capsys, tmp_path, feature_csv,
