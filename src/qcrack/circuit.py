@@ -140,9 +140,9 @@ def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
     blocks of max(1, BLOCK_AMPS >> Q) rows. In shot mode row i samples
     with seed derive_seed(mode.seed, *keys, i). One block's readout is
     returned as it is, without a stacking copy; zero rows run one empty
-    block and read out as (0, Q). The blocks bound the amplitudes, not the
-    per-Q tables `evolve` caches for the life of the process (z_signs and
-    _ry_pi_table alone hold 480 MiB at Q = 20)."""
+    block and read out as (0, Q). The blocks bound the amplitudes; evolve
+    also keeps z_signs (Q*2^Q float64, 160 MiB at Q = 20) and
+    brick_permutation (2^Q int64) per Q for the life of the process."""
     step = max(1, BLOCK_AMPS >> spec.num_qubits)
     z = []
     for start in range(0, max(len(angles), 1), step):

@@ -201,10 +201,9 @@ def brick_pairs(num_qubits: int) -> list[tuple[int, int]]:
 @functools.lru_cache(maxsize=None)
 def brick_permutation(num_qubits: int) -> np.ndarray:
     """amps[:, perm] applies the CX gates of one brick, in order."""
-    perm = np.arange(1 << num_qubits)
+    idx = perm = np.arange(1 << num_qubits)
     for control, target in brick_pairs(num_qubits):
-        lo, hi = _pair_indices(num_qubits, target, control)
-        perm[lo], perm[hi] = perm[hi], perm[lo]
+        perm = perm[idx ^ (((idx >> control) & 1) << target)]
     return perm
 
 
@@ -213,13 +212,6 @@ _SWAP_SIGN = np.array([[-1.0], [1.0]])
 # amplitudes per evaluate_rows block (or one row of 2^Q for Q >= 14), and
 # the most a cached plan buffer of evolve holds
 BLOCK_AMPS = 1 << 13
-
-
-@functools.lru_cache(maxsize=None)
-def _ry_pi_table(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, sign): amps[0, idx[k]] * sign[k] is Ry(pi) on qubit k of row 0."""
-    idx = np.arange(1 << num_qubits) ^ (1 << np.arange(num_qubits))[:, None]
-    return idx, -z_signs(num_qubits)
 
 
 @functools.lru_cache(maxsize=16)
@@ -231,7 +223,9 @@ def _gate_plan(num_qubits: int, q_depth: int, rows: int, tangents: bool):
     (rows, run, pair, count) when runs are shorter than their count, so a
     C-order multiply walks the longer axis innermost. A brick copies the
     state into the other buffer, so the two swap roles there. Returns
-    (initial rows, final state, steps)."""
+    (initial rows, final state, steps, idx, sign); amps[0, idx[k]] *
+    sign[k] is Ry(pi) on qubit k of row 0, and both are None unless
+    tangents."""
     dim = 1 << num_qubits
     n = (q_depth + 1) * num_qubits
     bufs = np.empty((2, rows + n if tangents else rows, dim))
@@ -251,20 +245,24 @@ def _gate_plan(num_qubits: int, q_depth: int, rows: int, tangents: bool):
             tan = bufs[cur, live:live + num_qubits]
             live += num_qubits
         steps.append((src, a, flipped, t4, t, tan))
-    return bufs[0, :rows], bufs[cur], steps
+    idx = sign = None
+    if tangents:
+        idx = np.arange(dim) ^ (1 << np.arange(num_qubits))[:, None]
+        sign = -z_signs(num_qubits)
+    return bufs[0, :rows], bufs[cur], steps, idx, sign
 
 
 def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
            tangents: bool = False) -> np.ndarray:
     """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
     encoding, then q_depth blocks of a CX brick and one Ry per wire, with
-    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q),
-    plus per-Q tables cached for the life of the process: z_signs (Q*2^Q
-    float64, 160 MiB at Q = 20), _ry_pi_table (an int64 and a float64
-    table of that shape, 320 MiB), brick_permutation and _pair_indices.
-    Every gate is real, so float64 loses nothing, and each Ry rounds as
-    apply_gate's formula: the amplitudes equal the real parts of the
-    register apply_gate evolves, bit for bit.
+    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q);
+    kept for the life of the process are z_signs (Q*2^Q float64, 160 MiB
+    at Q = 20) and brick_permutation (2^Q int64) per Q, and at most 16
+    plans of at most BLOCK_AMPS amplitudes per buffer, only tangent plans
+    with a flip table. Every gate is real, so float64 loses nothing, and
+    each Ry rounds as apply_gate's formula: the amplitudes equal the real
+    parts of the register apply_gate evolves, bit for bit.
 
     Each Ry is three in-place ufuncs and each brick one np.take on the
     buffers of `_gate_plan`, cached per shape when they hold at most
@@ -279,7 +277,8 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     Ry wall appends Ry(pi) of the ket on each of its wires, and those rows
     take the rest of the circuit with the ket. A wall's Ry gates commute
     and dRy(t)/dt = Ry(pi)Ry(t)/2, so row 1+j is twice d|psi>/d angle_j:
-    1+L*Q rows in all, and row 0 is the ket bit for bit."""
+    1+L*Q rows in all, and row 0 is the ket bit for bit. The traced peak
+    is under 5x their bytes (4.49x at Q = 13 and 14, q_depth 1)."""
     check_qubits(num_qubits)
     check_int("q_depth", q_depth, 0)
     angles = np.asarray(angles, dtype=float)
@@ -291,7 +290,8 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
                          f"got {len(angles)}")
     size = (len(angles) + n if tangents else len(angles)) << num_qubits
     plan = _gate_plan if size <= BLOCK_AMPS else _gate_plan.__wrapped__
-    start, out, steps = plan(num_qubits, q_depth, len(angles), tangents)
+    start, out, steps, idx, sign = plan(num_qubits, q_depth, len(angles),
+                                        tangents)
     # the H wall on |0...0> leaves every amplitude equal to (1/sqrt 2)^Q,
     # rounded once per gate as apply_gate rounds it
     amp = 1.0
@@ -302,7 +302,6 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     c = np.cos(half).T[:, :, None]
     s = np.sin(half).T[:, :, None, None, None] * _SWAP_SIGN
     perm = brick_permutation(num_qubits)
-    idx, sign = _ry_pi_table(num_qubits)
     for c_j, s_j, (src, a, flipped, t4, t, tan) in zip(c, s, steps):
         if src is not None:  # mode="raise" would buffer a copy of out
             np.take(src, perm, axis=1, out=a, mode="clip")

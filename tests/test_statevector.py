@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from conftest import random_gate_sequence
 from qcrack.circuit import CircuitSpec, build_from_angles
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import (BLOCK_AMPS, Gate, StateVector, _gate_plan,
-                                apply_gate, apply_gates, brick_pairs,
-                                brick_permutation, check_qubits,
+                                _pair_indices, apply_gate, apply_gates,
+                                brick_pairs, brick_permutation, check_qubits,
                                 estimate_z_from_counts, evolve, sample,
                                 sampled_z_rows, z_expectation, z_rows,
-                                zero_state)
+                                z_signs, zero_state)
 
 
 def plus_state():
@@ -295,7 +296,8 @@ class TestKernel:
             assert np.array_equal(amps[i].view(np.int64),
                                   alone.view(np.int64))
 
-    @pytest.mark.parametrize("q,depth", [(1, 1), (3, 2), (4, 1), (5, 3)])
+    @pytest.mark.parametrize("q,depth", [(1, 1), (3, 2), (4, 1), (5, 3),
+                                         (9, 2)])
     def test_tangent_rows(self, q, depth):
         # Ry(t + pi) = Ry(pi)Ry(t), so tangent row 1+j is the circuit with
         # angle j shifted by pi, and row 0 is the plain kernel's row
@@ -314,6 +316,8 @@ class TestKernel:
                   "fd3341db0d3e402cf262e9346d784b5c"),
         (8, 2, 1, "c099b98a53f77195f053226cbb73a33d"
                   "e7f660015f394971d381cea27bc399be"),
+        (9, 2, 1, "e619fdeaad4053b0c559d6d54a7f6e13"
+                  "8fba8004b6b2498e7be19516e78f879d"),
     ])
     def test_tangent_rows_pinned(self, q, depth, b, sha256):
         # the bytes of the loop that concatenated each wall's tangent rows
@@ -371,6 +375,29 @@ class TestKernel:
             assert _gate_plan(*key)[1].size <= BLOCK_AMPS
             assert _gate_plan.cache_info().hits == hits + 1
         assert _gate_plan.cache_info().currsize == len(cached)
+
+    def test_forward_call_keeps_no_tangent_table(self):
+        for cache in (_gate_plan, brick_permutation, _pair_indices):
+            cache.cache_clear()
+        evolve(12, 1, np.zeros((1, 24)))
+        assert _pair_indices.cache_info().currsize == 0
+        assert _gate_plan.cache_info().currsize == 1
+        assert _gate_plan(12, 1, 1, False)[3:] == (None, None)
+
+    @pytest.mark.parametrize("q", [13, 14])
+    def test_tangent_peak_is_under_five_times_its_rows(self, q):
+        # README's bound: under 5x the bytes of the 1+L*Q rows, tables and
+        # plan built in the call (4.49x measured at q_depth 1)
+        for cache in (_gate_plan, brick_permutation, z_signs):
+            cache.cache_clear()
+        angles = np.random.default_rng(q).uniform(-3, 3, size=(1, 2 * q))
+        tracemalloc.start()
+        try:
+            rows = evolve(q, 1, angles, tangents=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * rows.nbytes
 
     def test_sampled_rows_match_sample(self):
         angles = np.random.default_rng(3).uniform(-3, 3, size=(5, 6))
