@@ -10,11 +10,11 @@ has L = q_depth + 1 layers of differentiable angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import derive_seed
+from .data import derive_seeds, seed_streams
 from .errors import DataError, check_int
 from .statevector import BLOCK_AMPS, MAX_SHOTS, Gate, StateVector, apply_gates
 from .statevector import brick_pairs, check_qubits, estimate_z_from_counts
@@ -63,9 +63,11 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class Shots:
-    """Shot-based evaluation mode; None means exact expectations."""
+    """Shot-based evaluation mode; None means exact expectations. If set,
+    `streams` holds the rows' seed_streams, hashed ahead by the caller."""
     shots: int
     seed: int
+    streams: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         check_int("shots", self.shots, 1, MAX_SHOTS)
@@ -138,19 +140,22 @@ def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
     """(B, Q) per-qubit <Z> of one circuit per row of L*Q angles: the Q
     encoding angles, then the variational ones, run through the kernel in
     blocks of max(1, BLOCK_AMPS >> Q) rows. In shot mode row i samples
-    with seed derive_seed(mode.seed, *keys, i). One block's readout is
-    returned as it is, without a stacking copy; zero rows run one empty
+    with seed derive_seed(mode.seed, *keys, i); all B streams are hashed
+    before the first block, or taken from mode.streams. One block's readout
+    is returned as it is, without a stacking copy; zero rows run one empty
     block and read out as (0, Q). The blocks bound the amplitudes; evolve
     also keeps z_signs (Q*2^Q float64, 160 MiB at Q = 20) and
     brick_permutation (2^Q int64) per Q for the life of the process."""
     step = max(1, BLOCK_AMPS >> spec.num_qubits)
+    streams = mode and mode.streams
+    if mode and streams is None:
+        streams = seed_streams(derive_seeds(mode.seed, keys, len(angles)))
     z = []
     for start in range(0, max(len(angles), 1), step):
         amps = evolve(spec.num_qubits, spec.q_depth, angles[start:start + step])
         if mode is None:
             z.append(z_rows(amps))
         else:
-            seeds = [derive_seed(mode.seed, *keys, start + i)
-                     for i in range(len(amps))]
-            z.append(sampled_z_rows(amps, mode.shots, seeds))
+            z.append(sampled_z_rows(amps, mode.shots,
+                                    streams[start:start + step]))
     return z[0] if len(z) == 1 else np.vstack(z)

@@ -1,6 +1,6 @@
 """Patch ingestion, synthetic crack-patch generation, the built-in feature
-extractor, deterministic stratified splitting, and the package's one seed
-recipe (derive_rng, derive_seed) and one atomic writer (write_atomic).
+extractor, deterministic stratified splitting, the package's one seed recipe
+(derive_rng, derive_seed; derive_seeds, seed_streams) and one atomic writer.
 
 Patches are 224x224 8-bit grayscale, stored as binary PGM (P5, maxval 255).
 Synthetic generation derives one child RNG per patch from a single
@@ -80,17 +80,70 @@ class FeatureSample:
 # ---------------------------------------------------------------------------
 # Seed streams and file I/O
 
+def _entropy(base, keys: tuple) -> list[int]:
+    check_int("seed", base, 0)
+    for key in keys:
+        check_int("key", key, 0)
+    return [base, *keys]
+
+
 def derive_rng(base: int, *keys: int) -> np.random.Generator:
     """The PCG64 generator of the stream `keys` under `base`."""
-    check_int("seed", base, 0)
-    return np.random.default_rng(np.random.SeedSequence([base, *keys]))
+    return np.random.default_rng(np.random.SeedSequence(_entropy(base, keys)))
 
 
 def derive_seed(base: int, *keys: int) -> int:
     """An independent PCG64 seed for the stream `keys` under `base`."""
-    check_int("seed", base, 0)
-    seq = np.random.SeedSequence(entropy=[base, *map(int, keys)])
+    seq = np.random.SeedSequence(entropy=_entropy(base, keys))
     return int(seq.generate_state(1)[0])
+
+
+def _generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(row).generate_state(n_words) of each row of an (n, k)
+    uint32 array as (n, n_words) uint32, by bit_generator.pyx's constants."""
+    def hashmix(values, const, mult=0x931E8875):
+        # on each column in turn, and the next constant; arrays wrap silently
+        c = np.array([const * pow(mult, i, 1 << 32) & 0xFFFFFFFF
+                      for i in range(values.shape[1] + 1)], np.uint32)
+        out = (values ^ c[:-1]) * c[1:]
+        return out ^ (out >> np.uint32(16)), int(c[-1])
+
+    pool = np.zeros((len(entropy), 4), np.uint32)
+    pool[:, :entropy.shape[1]] = entropy[:, :4]
+    pool, const = hashmix(pool, 0x43B0D7E5)
+    # each pool word into the other three, then later entropy into all four
+    steps = [(pool, s, [d for d in range(4) if d != s]) for s in range(4)]
+    steps += [(entropy, s, [0, 1, 2, 3]) for s in range(4, entropy.shape[1])]
+    for src, s, dst in steps:
+        h, const = hashmix(src[:, [s] * len(dst)], const)
+        mixed = pool[:, dst] * np.uint32(0xCA01F9DD) - h * np.uint32(0x4973F715)
+        pool[:, dst] = mixed ^ (mixed >> np.uint32(16))
+    return hashmix(pool[:, np.arange(n_words) % 4], 0x8B51F9DD, 0x58F38DED)[0]
+
+
+def derive_seeds(base, keys: tuple, n: int) -> np.ndarray:
+    """derive_seed(base, *keys, i) for each i < n as uint32, hashed in one
+    pass; a uint32 array of such seeds as `base` gives (*base.shape, n)."""
+    if isinstance(base, np.ndarray) and base.dtype == np.uint32:
+        head, ints = base.reshape(-1, 1), _entropy(0, keys)[1:]
+    else:
+        head, ints = np.zeros((1, 0), np.uint32), _entropy(base, keys)
+    # SeedSequence's little-endian uint32 words of each int; 0 is one word
+    words = [x >> s & 0xFFFFFFFF for x in ints
+             for s in range(0, max(x.bit_length(), 1), 32)]
+    entropy = np.hstack([
+        np.repeat(head, n, axis=0),
+        np.full((len(head) * n, len(words)), words, np.uint32),
+        np.tile(np.arange(n, dtype=np.uint32), len(head))[:, None]])
+    return _generate_state(entropy, 1).reshape(np.shape(base) + (n,))
+
+
+def seed_streams(seeds: np.ndarray) -> np.ndarray:
+    """(..., 4) uint64, hashed in one pass: for each uint32 seed the words
+    SeedSequence(seed).generate_state(4, uint64) that default_rng(seed)
+    seeds its PCG64 from."""
+    words = _generate_state(seeds.reshape(-1, 1), 8).astype("<u4").ravel()
+    return words.view("<u8").astype(np.uint64).reshape(seeds.shape + (4,))
 
 
 def write_atomic(path, content: str | bytes) -> None:

@@ -20,7 +20,8 @@ from .circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
                       encode_features_vjp, evaluate_rows)
 # the single-register path stays bound here for tracers that wrap it
 from .circuit import evaluate_angles  # noqa: F401
-from .data import LABELS, derive_rng, derive_seed, write_atomic
+from .data import (LABELS, derive_rng, derive_seed, derive_seeds,
+                   seed_streams, write_atomic)
 from .errors import DataError, FormatError, check_int, check_real
 
 ADAM_LR = 1e-3
@@ -252,16 +253,21 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
     grads = ParamVector(params, np.zeros_like(params.vector))
     shuffle_rng = derive_rng(seed, 0x5F)
     metrics: list[EpochMetrics] = []
+    calls = ledger_predict(1, 0, model.qspec.num_layers,  # a step's calls
+                           model.qspec.num_qubits, method)
 
     for epoch in range(epochs):
         t0 = time.perf_counter()
         calls_before = ledger.n_calls
         train_loss = 0.0
         train_correct = 0
+        if mode:  # the step seeds, then a stream per call of each step
+            seeds = derive_seeds(mode.seed, (epoch,), len(train_set))
+            streams = seed_streams(derive_seeds(seeds, (), calls))
         for step, idx in enumerate(shuffle_rng.permutation(len(train_set))):
             s = train_set[idx]
             label = LABELS.index(s.label)
-            m = mode and Shots(mode.shots, derive_seed(mode.seed, epoch, step))
+            m = mode and Shots(mode.shots, int(seeds[step]), streams[step])
             loss, _, logits = loss_and_grad(model, [(s.values, label)],
                                             method, ledger, m, grads)
             adam_step(params, grads, opt)

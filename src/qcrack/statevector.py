@@ -11,9 +11,9 @@ Conventions:
     the basis index, so index 6 = 0b110 means qubit0=0, qubit1=1, qubit2=1.
   * Bitstrings are printed most-significant qubit first ("b_{Q-1}...b_0"),
     matching ket notation, so the two-qubit index 2 prints as "10".
-  * Sampling uses numpy's PCG64 generator seeded explicitly per call;
-    independent streams are derived via numpy.random.SeedSequence, so
-    results repeat bit for bit on one numpy build at one SIMD level.
+  * Sampling uses numpy's PCG64 on SeedSequence streams, hashed in bulk by
+    data.seed_streams and tested against numpy's own, so results repeat bit
+    for bit on one numpy build at one SIMD level.
 """
 
 from __future__ import annotations
@@ -320,13 +320,29 @@ def z_rows(amps: np.ndarray) -> np.ndarray:
     return (amps * amps) @ z_signs(amps.shape[1].bit_length() - 1).T
 
 
-def sampled_z_rows(amps: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """<Z> estimated from `shots` measurements of each row, row i drawn with
-    seeds[i]: the counts `sample` draws for that register, read out as
-    `estimate_z_from_counts` reads them."""
+class _Stream:
+    """A seed_streams row, four uint64 words that PCG64 reads raw: PCG64(it)
+    is default_rng(seed)'s. Registered on use, so import skips numpy.random."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def sampled_z_rows(amps: np.ndarray, shots: int, streams) -> np.ndarray:
+    """<Z> from `shots` measurements of each row, drawn by a fresh PCG64 on
+    streams[i], the seed_streams row of a seed: the counts `sample` draws
+    for that register and seed, read as `estimate_z_from_counts` reads
+    them. One division normalises the block, as each row's p / p.sum()."""
+    streams = np.ascontiguousarray(streams, np.uint64).reshape(len(amps), 4)
+    np.random.bit_generator.ISeedSequence.register(_Stream)
+    probs = amps * amps
+    probs /= probs.sum(axis=1, keepdims=True)
     raw = np.array([
-        np.random.default_rng(seed).multinomial(shots, p / p.sum())
-        for p, seed in zip(amps * amps, seeds)
+        np.random.Generator(np.random.PCG64(_Stream(w))).multinomial(shots, p)
+        for p, w in zip(probs, streams)
     ]).reshape(amps.shape)  # (0, 2^Q) for zero rows, not (0,)
     # integer counts: the signed sums are exact, so one division rounds
     return (raw @ z_signs(amps.shape[1].bit_length() - 1).T) / shots

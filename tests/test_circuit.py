@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from dense_oracle import apply_dense
 from qcrack.circuit import (CircuitSpec, Shots, build_from_angles,
-                            derive_seed, encode_features, encode_features_vjp,
+                            encode_features, encode_features_vjp,
                             evaluate_angles, evaluate_rows)
+from qcrack.data import derive_seed
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import zero_state
 

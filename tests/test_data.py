@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcrack.data import (PATCH_SIZE, FeatureSample, Patch, SplitConfig,
-                         _draw_crack, derive_rng, derive_seed,
+                         _draw_crack, derive_rng, derive_seed, derive_seeds,
                          extract_features, generate_synthetic,
                          import_features, load_dataset, read_pgm, split,
-                         split_record, write_patches, write_pgm)
+                         seed_streams, split_record, write_patches,
+                         write_pgm)
 from qcrack.errors import DataError, FormatError
+from qcrack.statevector import _Stream
 
 
 def dummy_samples(n_crack, n_clean):
@@ -125,12 +127,79 @@ class TestSeedRecipe:
         lambda base: derive_seed(base, 3),
         lambda base: split(dummy_samples(2, 2),
                            SplitConfig((0.5, 0.25, 0.25), base)),
-    ], ids=["derive_rng", "derive_seed", "split"])
+        lambda base: derive_seeds(base, (3,), 2),
+    ], ids=["derive_rng", "derive_seed", "split", "derive_seeds"])
     @pytest.mark.parametrize("base", [True, 1.5, "3", None, -1])
     def test_base_must_be_an_integer(self, draw, base):
         # a bool or a float once ran silently as another seed
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             draw(base)
+
+    @pytest.mark.parametrize("draw", [
+        lambda key: derive_rng(5, key),
+        lambda key: derive_seed(5, key),
+        lambda key: derive_seeds(5, (2, key), 3),
+    ], ids=["derive_rng", "derive_seed", "derive_seeds"])
+    @pytest.mark.parametrize("key", [1.5, True, -1, np.int64(1)],
+                             ids=["float", "bool", "negative", "int64"])
+    def test_key_must_be_an_integer(self, draw, key):
+        # derive_seed once truncated 1.5 to the stream of 1
+        with pytest.raises(ValueError, match="key must be an integer >= 0"):
+            draw(key)
+
+
+# entropy words SeedSequence treats apart: zero, the widest one-word value,
+# and values that take two and three words
+EDGES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5)
+
+
+def stream_rng(words):
+    """The generator sampled_z_rows draws a row with from its stream."""
+    np.random.bit_generator.ISeedSequence.register(_Stream)
+    return np.random.Generator(np.random.PCG64(_Stream(words)))
+
+
+class TestShotStreams:
+    """derive_seeds and seed_streams against numpy's own SeedSequence and
+    PCG64, so a numpy that changes either algorithm fails here rather than
+    in a pinned value."""
+
+    @pytest.mark.parametrize("n_keys", [0, 1, 2, 3])
+    def test_match_numpy(self, n_keys):
+        rng = np.random.default_rng(n_keys)
+        p = rng.dirichlet(np.ones(16))
+        # one case per edge for base and keys alike, then mixed cases
+        cases = [[edge] * (n_keys + 1) for edge in EDGES] + [
+            [int(rng.choice(EDGES)) if rng.random() < 0.5
+             else int(rng.integers(2 ** 40)) for _ in range(n_keys + 1)]
+            for _ in range(4)]
+        for base, *keys in cases:
+            keys = tuple(keys)
+            for n in (0, 1, 17, 184):
+                seeds = derive_seeds(base, keys, n)
+                assert seeds.tolist() == [derive_seed(base, *keys, i)
+                                          for i in range(n)]
+                streams = seed_streams(seeds)
+                assert streams.shape == (n, 4)
+                for words, seed in zip(streams, seeds.tolist()):
+                    ours = stream_rng(words)
+                    theirs = np.random.default_rng(seed)
+                    assert ours.bit_generator.state == \
+                        theirs.bit_generator.state
+                    assert np.array_equal(ours.multinomial(1024, p),
+                                          theirs.multinomial(1024, p))
+
+    def test_nested_seeds_match_numpy(self):
+        # train's form: each step seed, then each of its rows under it
+        steps = derive_seeds(9, (4,), 5)
+        streams = seed_streams(derive_seeds(steps, (), 17))
+        assert streams.shape == (5, 17, 4)
+        for step in range(5):
+            for row in range(17):
+                want = np.random.default_rng(
+                    derive_seed(derive_seed(9, 4, step), row))
+                assert stream_rng(streams[step, row]).bit_generator.state \
+                    == want.bit_generator.state
 
 
 class TestSyntheticGeneration:

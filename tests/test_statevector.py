@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from dense_oracle import apply_dense
 from conftest import random_gate_sequence
 from qcrack.circuit import CircuitSpec, build_from_angles
+from qcrack.data import seed_streams
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import (BLOCK_AMPS, Gate, StateVector, _gate_plan,
                                 _pair_indices, apply_gate, apply_gates,
@@ -402,7 +404,8 @@ class TestKernel:
     def test_sampled_rows_match_sample(self):
         angles = np.random.default_rng(3).uniform(-3, 3, size=(5, 6))
         amps = evolve(3, 1, angles)
-        z = sampled_z_rows(amps, 500, range(10, 15))
+        seeds = np.arange(10, 15, dtype=np.uint32)
+        z = sampled_z_rows(amps, 500, seed_streams(seeds))
         for row, got, seed in zip(amps, z, range(10, 15)):
             counts = sample(StateVector(3, row), 500, seed)
             assert np.array_equal(
@@ -422,3 +425,39 @@ class TestKernel:
             evolve(2, 1, np.zeros((1, 3)))
         with pytest.raises(ValueError):
             evolve(2, 1, np.zeros(4))
+
+
+class TestSampledRows:
+    """sampled_z_rows' block normalisation and its streams."""
+
+    def test_block_normalisation_rounds_as_each_row(self):
+        # sampled_z_rows divides the block by its row sums at once; the
+        # probabilities each row's generator gets equal p / p.sum()
+        seen = []
+
+        class Recorder:  # in place of np.random.Generator
+            def __init__(self, bit_generator):
+                pass
+
+            def multinomial(self, shots, p):
+                seen.append(p.copy())
+                return np.zeros(len(p), np.int64)
+
+        for q in range(1, 13):
+            for b in (1, 3, max(1, BLOCK_AMPS >> q), 64):
+                angles = np.random.default_rng(q * b).uniform(
+                    -3, 3, size=(b, 2 * q))
+                amps = evolve(q, 1, angles)
+                seen.clear()
+                with mock.patch("numpy.random.Generator", Recorder):
+                    sampled_z_rows(amps, 8, np.zeros((b, 4), np.uint64))
+                assert len(seen) == b
+                for row, p in zip(amps * amps, seen):
+                    assert p.tobytes() == (row / row.sum()).tobytes()
+
+    def test_one_stream_per_row(self):
+        amps = evolve(2, 1, np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            sampled_z_rows(amps, 8, np.zeros((2, 4), np.uint64))
+        with pytest.raises(ValueError):
+            sampled_z_rows(amps, 8, np.zeros((3, 3), np.uint64))
