@@ -110,8 +110,8 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
     shift rule, central differences) or L*Q (forward differences). Backprop
     runs none: its L*Q tangent rows ride the one forward sweep in evolve
     and are amplitudes, not <Z> readouts. The rows run as one evaluate_rows
-    call; in shot mode row i samples with seed derive_seed(mode.seed, i).
-    """
+    call; in shot mode row i samples with seed derive_seed(mode.seed, i),
+    or from mode.streams[i] if the caller hashed them."""
     q = spec.num_qubits
     all_angles = np.concatenate([encode_features(qinput.features),
                                  qinput.params])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import derive_seeds, seed_streams
+from .data import derive_streams
 from .errors import DataError, check_int
 from .statevector import BLOCK_AMPS, MAX_SHOTS, Gate, StateVector, apply_gates
 from .statevector import brick_pairs, check_qubits, estimate_z_from_counts
@@ -64,7 +64,8 @@ class CircuitSpec:
 @dataclass(frozen=True)
 class Shots:
     """Shot-based evaluation mode; None means exact expectations. If set,
-    `streams` holds the rows' seed_streams, hashed ahead by the caller."""
+    `streams` holds the rows' derive_streams words, hashed ahead by the
+    caller, and then nothing reads `seed`. Equality ignores `streams`."""
     shots: int
     seed: int
     streams: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -141,15 +142,17 @@ def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
     encoding angles, then the variational ones, run through the kernel in
     blocks of max(1, BLOCK_AMPS >> Q) rows. In shot mode row i samples
     with seed derive_seed(mode.seed, *keys, i); all B streams are hashed
-    before the first block, or taken from mode.streams. One block's readout
+    by one derive_streams call before the first block, or taken from
+    mode.streams, which must hold B rows. One block's readout
     is returned as it is, without a stacking copy; zero rows run one empty
     block and read out as (0, Q). The blocks bound the amplitudes; evolve
     also keeps z_signs (Q*2^Q float64, 160 MiB at Q = 20) and
     brick_permutation (2^Q int64) per Q for the life of the process."""
     step = max(1, BLOCK_AMPS >> spec.num_qubits)
-    streams = mode and mode.streams
-    if mode and streams is None:
-        streams = seed_streams(derive_seeds(mode.seed, keys, len(angles)))
+    streams = mode and (derive_streams(mode.seed, keys, len(angles))
+                        if mode.streams is None else mode.streams)
+    if mode and len(streams) != len(angles):
+        raise ValueError(f"{len(streams)} shot streams for {len(angles)} rows")
     z = []
     for start in range(0, max(len(angles), 1), step):
         amps = evolve(spec.num_qubits, spec.q_depth, angles[start:start + step])

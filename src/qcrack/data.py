@@ -1,6 +1,6 @@
 """Patch ingestion, synthetic crack-patch generation, the built-in feature
-extractor, deterministic stratified splitting, the package's one seed recipe
-(derive_rng, derive_seed; derive_seeds, seed_streams) and one atomic writer.
+extractor, stratified splitting, the one seed recipe (derive_rng, derive_seed;
+derive_streams, the one shot-stream helper) and one atomic writer.
 
 Patches are 224x224 8-bit grayscale, stored as binary PGM (P5, maxval 255).
 Synthetic generation derives one child RNG per patch from a single
@@ -121,29 +121,22 @@ def _generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return hashmix(pool[:, np.arange(n_words) % 4], 0x8B51F9DD, 0x58F38DED)[0]
 
 
-def derive_seeds(base, keys: tuple, n: int) -> np.ndarray:
-    """derive_seed(base, *keys, i) for each i < n as uint32, hashed in one
-    pass; a uint32 array of such seeds as `base` gives (*base.shape, n)."""
-    if isinstance(base, np.ndarray) and base.dtype == np.uint32:
-        head, ints = base.reshape(-1, 1), _entropy(0, keys)[1:]
-    else:
-        head, ints = np.zeros((1, 0), np.uint32), _entropy(base, keys)
+def derive_streams(base: int, keys: tuple, n: int, *more: int) -> np.ndarray:
+    """(n, *more, 4) uint64, hashed in one pass a level: row i holds the
+    words default_rng(derive_seed(base, *keys, i)) seeds its PCG64 from,
+    and with two counts row (i, j) those of
+    default_rng(derive_seed(derive_seed(base, *keys, i), j))."""
     # SeedSequence's little-endian uint32 words of each int; 0 is one word
-    words = [x >> s & 0xFFFFFFFF for x in ints
-             for s in range(0, max(x.bit_length(), 1), 32)]
-    entropy = np.hstack([
-        np.repeat(head, n, axis=0),
-        np.full((len(head) * n, len(words)), words, np.uint32),
-        np.tile(np.arange(n, dtype=np.uint32), len(head))[:, None]])
-    return _generate_state(entropy, 1).reshape(np.shape(base) + (n,))
-
-
-def seed_streams(seeds: np.ndarray) -> np.ndarray:
-    """(..., 4) uint64, hashed in one pass: for each uint32 seed the words
-    SeedSequence(seed).generate_state(4, uint64) that default_rng(seed)
-    seeds its PCG64 from."""
-    words = _generate_state(seeds.reshape(-1, 1), 8).astype("<u4").ravel()
-    return words.view("<u8").astype(np.uint64).reshape(seeds.shape + (4,))
+    head = np.array([[x >> s & 0xFFFFFFFF for x in _entropy(base, keys)
+                      for s in range(0, max(x.bit_length(), 1), 32)]],
+                    np.uint32)
+    for count in (n, *more):  # each row's seed, then each index under it
+        check_int("count", count, 0, 1 << 32)  # an index is one uint32 word
+        index = np.tile(np.arange(count, dtype=np.uint32), len(head))
+        head = _generate_state(
+            np.hstack([np.repeat(head, count, axis=0), index[:, None]]), 1)
+    words = _generate_state(head, 8).astype("<u4").ravel()
+    return words.view("<u8").astype(np.uint64).reshape((n, *more, 4))
 
 
 def write_atomic(path, content: str | bytes) -> None:

@@ -20,8 +20,8 @@ from .circuit import (CircuitSpec, QNodeInput, Shots, encode_features,
                       encode_features_vjp, evaluate_rows)
 # the single-register path stays bound here for tracers that wrap it
 from .circuit import evaluate_angles  # noqa: F401
-from .data import (LABELS, derive_rng, derive_seed, derive_seeds,
-                   seed_streams, write_atomic)
+from .data import (LABELS, derive_rng, derive_seed, derive_streams,
+                   write_atomic)
 from .errors import DataError, FormatError, check_int, check_real
 
 ADAM_LR = 1e-3
@@ -243,7 +243,8 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
     """Seeded shuffling, per-sample Adam steps, one validation forward pass
     per image per epoch. Afterwards the ledger must equal epochs times
     ledger_predict, or ReconciliationError is raised; the returned ledger
-    holds the reconcile report in `reconcile`."""
+    holds the reconcile report in `reconcile`. In shot mode call j of step
+    s samples with seed derive_seed(derive_seed(mode.seed, epoch, s), j)."""
     check_int("epochs", epochs, 0)
     if epochs and not train_set:
         raise ValueError("training split is empty")
@@ -261,13 +262,12 @@ def train(model: HybridModel, train_set, val_set, epochs: int,
         calls_before = ledger.n_calls
         train_loss = 0.0
         train_correct = 0
-        if mode:  # the step seeds, then a stream per call of each step
-            seeds = derive_seeds(mode.seed, (epoch,), len(train_set))
-            streams = seed_streams(derive_seeds(seeds, (), calls))
+        if mode:  # one hash an epoch: per step, its fixed cost would dominate
+            streams = derive_streams(mode.seed, (epoch,), len(train_set), calls)
         for step, idx in enumerate(shuffle_rng.permutation(len(train_set))):
             s = train_set[idx]
             label = LABELS.index(s.label)
-            m = mode and Shots(mode.shots, int(seeds[step]), streams[step])
+            m = mode and Shots(mode.shots, mode.seed, streams[step])
             loss, _, logits = loss_and_grad(model, [(s.values, label)],
                                             method, ledger, m, grads)
             adam_step(params, grads, opt)

@@ -12,8 +12,8 @@ Conventions:
   * Bitstrings are printed most-significant qubit first ("b_{Q-1}...b_0"),
     matching ket notation, so the two-qubit index 2 prints as "10".
   * Sampling uses numpy's PCG64 on SeedSequence streams, hashed in bulk by
-    data.seed_streams and tested against numpy's own, so results repeat bit
-    for bit on one numpy build at one SIMD level.
+    data.derive_streams alone and tested against numpy's own, so results
+    repeat bit for bit on one numpy build at one SIMD level.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ def z_rows(amps: np.ndarray) -> np.ndarray:
 
 
 class _Stream:
-    """A seed_streams row, four uint64 words that PCG64 reads raw: PCG64(it)
+    """A derive_streams row, four uint64 words that PCG64 reads raw: PCG64(it)
     is default_rng(seed)'s. Registered on use, so import skips numpy.random."""
 
     def __init__(self, words: np.ndarray):
@@ -333,9 +333,10 @@ class _Stream:
 
 def sampled_z_rows(amps: np.ndarray, shots: int, streams) -> np.ndarray:
     """<Z> from `shots` measurements of each row, drawn by a fresh PCG64 on
-    streams[i], the seed_streams row of a seed: the counts `sample` draws
+    streams[i], the derive_streams row of a seed: the counts `sample` draws
     for that register and seed, read as `estimate_z_from_counts` reads
     them. One division normalises the block, as each row's p / p.sum()."""
+    check_int("shots", shots, 1, MAX_SHOTS)
     streams = np.ascontiguousarray(streams, np.uint64).reshape(len(amps), 4)
     np.random.bit_generator.ISeedSequence.register(_Stream)
     probs = amps * amps

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dense_oracle import apply_dense
 from qcrack.circuit import (CircuitSpec, Shots, build_from_angles,
                             encode_features, encode_features_vjp,
                             evaluate_angles, evaluate_rows)
-from qcrack.data import derive_seed
+from qcrack.data import derive_seed, derive_streams
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import zero_state
 
@@ -176,6 +177,17 @@ class TestEvaluateRows:
         with pytest.raises(ValueError):
             evaluate_rows(CircuitSpec(num_qubits=2, q_depth=1), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("n_streams, n_rows", [(2, 3), (1030, 1024)])
+    def test_one_stream_per_row(self, n_streams, n_rows):
+        # too few once failed in a reshape, too many (one block at Q = 3)
+        # ran and dropped the rest; either is refused before evolve runs
+        mode = Shots(100, 1, derive_streams(1, (), n_streams))
+        with mock.patch("qcrack.circuit.evolve", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=f"{n_streams} shot streams "
+                               f"for {n_rows} rows"):
+                evaluate_rows(CircuitSpec(num_qubits=3, q_depth=1),
+                              np.zeros((n_rows, 6)), mode)
+
     @pytest.mark.parametrize("mode", [None, Shots(shots=100, seed=1)],
                              ids=["exact", "shots"])
     def test_zero_rows_read_out_empty(self, mode):
@@ -191,6 +203,11 @@ class TestShots:
                             (8, -1), (8, True), (8, "x"), (8, None)):
             with pytest.raises(ValueError):
                 Shots(shots, seed)
+
+    def test_equality_ignores_streams(self):
+        streams = derive_streams(3, (), 2)
+        assert Shots(8, 3, streams) == Shots(8, 3)
+        assert repr(Shots(8, 3, streams)) == repr(Shots(8, 3))
 
     def test_shots_bounded_by_numpy(self):
         assert Shots(2 ** 63 - 1, 0).shots == 2 ** 63 - 1

@@ -1,17 +1,22 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcrack
 from qcrack.data import (PATCH_SIZE, FeatureSample, Patch, SplitConfig,
-                         _draw_crack, derive_rng, derive_seed, derive_seeds,
-                         extract_features, generate_synthetic,
-                         import_features, load_dataset, read_pgm, split,
-                         seed_streams, split_record, write_patches,
+                         _draw_crack, derive_rng, derive_seed,
+                         derive_streams, extract_features,
+                         generate_synthetic, import_features, load_dataset,
+                         read_pgm, split, split_record, write_patches,
                          write_pgm)
 from qcrack.errors import DataError, FormatError
 from qcrack.statevector import _Stream
@@ -127,25 +132,49 @@ class TestSeedRecipe:
         lambda base: derive_seed(base, 3),
         lambda base: split(dummy_samples(2, 2),
                            SplitConfig((0.5, 0.25, 0.25), base)),
-        lambda base: derive_seeds(base, (3,), 2),
-    ], ids=["derive_rng", "derive_seed", "split", "derive_seeds"])
-    @pytest.mark.parametrize("base", [True, 1.5, "3", None, -1])
+        lambda base: derive_streams(base, (3,), 2),
+    ], ids=["derive_rng", "derive_seed", "split", "derive_streams"])
+    @pytest.mark.parametrize("base", [
+        True, 1.5, "3", None, -1,
+        pytest.param(np.arange(3, dtype=np.uint32), id="uint32-array")])
     def test_base_must_be_an_integer(self, draw, base):
-        # a bool or a float once ran silently as another seed
+        # a bool or a float once ran silently as another seed, and a uint32
+        # array of seeds was once a base of the bulk hash
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             draw(base)
 
     @pytest.mark.parametrize("draw", [
         lambda key: derive_rng(5, key),
         lambda key: derive_seed(5, key),
-        lambda key: derive_seeds(5, (2, key), 3),
-    ], ids=["derive_rng", "derive_seed", "derive_seeds"])
+        lambda key: derive_streams(5, (2, key), 3),
+    ], ids=["derive_rng", "derive_seed", "derive_streams"])
     @pytest.mark.parametrize("key", [1.5, True, -1, np.int64(1)],
                              ids=["float", "bool", "negative", "int64"])
     def test_key_must_be_an_integer(self, draw, key):
         # derive_seed once truncated 1.5 to the stream of 1
         with pytest.raises(ValueError, match="key must be an integer >= 0"):
             draw(key)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy 2 loads numpy.random on first use, and importing every
+        # qcrack module must not use it: it costs the process memory
+        code = ("import importlib, pkgutil, sys, numpy\n"
+                "print('numpy.random' in sys.modules)\n"
+                "import qcrack\n"
+                "for m in pkgutil.iter_modules(qcrack.__path__):\n"
+                "    importlib.import_module('qcrack.' + m.name)\n"
+                "assert 'qcrack.cli' in sys.modules\n"
+                "print('numpy.random' in sys.modules)")
+        src = str(Path(qcrack.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], text=True,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        with_numpy, with_qcrack = proc.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this numpy loads numpy.random when imported")
+        assert with_qcrack == "False"
 
 
 # entropy words SeedSequence treats apart: zero, the widest one-word value,
@@ -159,10 +188,24 @@ def stream_rng(words):
     return np.random.Generator(np.random.PCG64(_Stream(words)))
 
 
+def numpy_seed(*entropy):
+    """derive_seed's recipe, written with numpy's SeedSequence directly."""
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
+
+
+def assert_same_stream(words, seed, p):
+    """The stream sampled_z_rows draws from `words` is default_rng(seed)'s:
+    the same PCG64 state and the same multinomial counts."""
+    ours, theirs = stream_rng(words), np.random.default_rng(seed)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert np.array_equal(ours.multinomial(1024, p),
+                          theirs.multinomial(1024, p))
+
+
 class TestShotStreams:
-    """derive_seeds and seed_streams against numpy's own SeedSequence and
-    PCG64, so a numpy that changes either algorithm fails here rather than
-    in a pinned value."""
+    """derive_streams against numpy's own SeedSequence and PCG64, so a
+    numpy that changes either algorithm fails here rather than in a pinned
+    value."""
 
     @pytest.mark.parametrize("n_keys", [0, 1, 2, 3])
     def test_match_numpy(self, n_keys):
@@ -174,32 +217,35 @@ class TestShotStreams:
              else int(rng.integers(2 ** 40)) for _ in range(n_keys + 1)]
             for _ in range(4)]
         for base, *keys in cases:
-            keys = tuple(keys)
             for n in (0, 1, 17, 184):
-                seeds = derive_seeds(base, keys, n)
-                assert seeds.tolist() == [derive_seed(base, *keys, i)
-                                          for i in range(n)]
-                streams = seed_streams(seeds)
+                streams = derive_streams(base, tuple(keys), n)
                 assert streams.shape == (n, 4)
-                for words, seed in zip(streams, seeds.tolist()):
-                    ours = stream_rng(words)
-                    theirs = np.random.default_rng(seed)
-                    assert ours.bit_generator.state == \
-                        theirs.bit_generator.state
-                    assert np.array_equal(ours.multinomial(1024, p),
-                                          theirs.multinomial(1024, p))
+                assert streams.dtype == np.uint64
+                for i, words in enumerate(streams):
+                    assert_same_stream(words, numpy_seed(base, *keys, i), p)
 
     def test_nested_seeds_match_numpy(self):
-        # train's form: each step seed, then each of its rows under it
-        steps = derive_seeds(9, (4,), 5)
-        streams = seed_streams(derive_seeds(steps, (), 17))
-        assert streams.shape == (5, 17, 4)
-        for step in range(5):
-            for row in range(17):
-                want = np.random.default_rng(
-                    derive_seed(derive_seed(9, 4, step), row))
-                assert stream_rng(streams[step, row]).bit_generator.state \
-                    == want.bit_generator.state
+        # train's form: the seed of each step, then each of its rows under it
+        p = np.random.default_rng(5).dirichlet(np.ones(8))
+        for base, keys in ((9, (4,)), (2 ** 64 + 5, (2 ** 32, 0))):
+            streams = derive_streams(base, keys, 5, 17)
+            assert streams.shape == (5, 17, 4)
+            for step in range(5):
+                step_seed = numpy_seed(base, *keys, step)
+                for row in range(17):
+                    assert_same_stream(streams[step, row],
+                                       numpy_seed(step_seed, row), p)
+        assert derive_streams(9, (), 0, 17).shape == (0, 17, 4)
+        assert derive_streams(9, (), 5, 0).shape == (5, 0, 4)
+
+    @pytest.mark.parametrize(
+        "count", [-1, 1.5, True, np.int64(3), 2 ** 32 + 1],
+        ids=["negative", "float", "bool", "int64", "wide"])
+    def test_counts_must_be_integers(self, count):
+        # an index past 2^32 - 1 would wrap in its one uint32 word
+        for counts in ((count,), (3, count)):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                derive_streams(5, (), *counts)
 
 
 class TestSyntheticGeneration:

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from dense_oracle import apply_dense
 from conftest import random_gate_sequence
 from qcrack.circuit import CircuitSpec, build_from_angles
-from qcrack.data import seed_streams
+from qcrack.data import derive_seed, derive_streams
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import (BLOCK_AMPS, Gate, StateVector, _gate_plan,
                                 _pair_indices, apply_gate, apply_gates,
@@ -404,10 +404,9 @@ class TestKernel:
     def test_sampled_rows_match_sample(self):
         angles = np.random.default_rng(3).uniform(-3, 3, size=(5, 6))
         amps = evolve(3, 1, angles)
-        seeds = np.arange(10, 15, dtype=np.uint32)
-        z = sampled_z_rows(amps, 500, seed_streams(seeds))
-        for row, got, seed in zip(amps, z, range(10, 15)):
-            counts = sample(StateVector(3, row), 500, seed)
+        z = sampled_z_rows(amps, 500, derive_streams(10, (2,), 5))
+        for i, (row, got) in enumerate(zip(amps, z)):
+            counts = sample(StateVector(3, row), 500, derive_seed(10, 2, i))
             assert np.array_equal(
                 got, [estimate_z_from_counts(counts, k) for k in range(3)])
 
@@ -454,6 +453,13 @@ class TestSampledRows:
                 assert len(seen) == b
                 for row, p in zip(amps * amps, seen):
                     assert p.tobytes() == (row / row.sum()).tobytes()
+
+    @pytest.mark.parametrize("shots", [0, 2.5, True, 2 ** 63])
+    def test_shots_are_checked(self, shots):
+        # 2.5 once drew 2 shots a row and divided by 2.5; 0 read out NaN
+        amps = evolve(2, 1, np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sampled_z_rows(amps, shots, derive_streams(1, (), 3))
 
     def test_one_stream_per_row(self):
         amps = evolve(2, 1, np.zeros((3, 4)))
