@@ -10,6 +10,7 @@ SeedSequence, so any (counts, seed) pair is byte-reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -152,6 +153,10 @@ def write_atomic(path, content: str | bytes) -> None:
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
+    """Binary PGM of a 2-D uint8 array, the only kind read_pgm returns."""
+    if not (isinstance(pixels, np.ndarray) and pixels.ndim == 2
+            and pixels.dtype == np.uint8):
+        raise DataError(f"{path}: PGM pixels must be a 2-D uint8 array")
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
     write_atomic(path, header + pixels.tobytes())
 
@@ -290,6 +295,13 @@ def generate_synthetic(n_crack: int, n_clean: int, seed: int) -> list[Patch]:
 # ---------------------------------------------------------------------------
 # Feature extraction
 
+@functools.lru_cache(maxsize=1)
+def _workspace() -> np.ndarray:
+    """extract_features' four float64 planes, 1,605,632 B for the process;
+    every call writes each plane in full before it reads it."""
+    return np.empty((4, PATCH_SIZE, PATCH_SIZE))
+
+
 def extract_features(patch: Patch) -> FeatureSample:
     """Fixed 512-dim descriptor over an 8x8 grid of 28x28 cells.
 
@@ -299,29 +311,42 @@ def extract_features(patch: Patch) -> FeatureSample:
     scaled to [0, 1] so all features stay O(1). The orientation is
     `np.arctan2(gy, gx) % math.pi` bit for bit, folded without np.remainder:
     pi goes to 0.0 and (-pi, 0) to a + pi.
+
+    Each plane is computed in place in `_workspace()`, so no call allocates
+    a patch-sized array; like `statevector.evolve`, it is not reentrant
+    across threads. The gradient is np.gradient's unit-spacing formula,
+    operation for operation and so bit for bit: (f[i+1] - f[i-1]) / 2.0
+    inside, f[1] - f[0] and f[-1] - f[-2] at the edges. Cell min/max come from
+    the uint8 pixels, then / 255.0: a correctly rounded division is
+    monotone, so it commutes with min and max.
     """
-    img = patch.pixels.astype(float) / 255.0
-    gy, gx = np.gradient(img)
-    mag = np.hypot(gx, gy)
-    ori = np.arctan2(gy, gx)  # unsigned orientation, folded into [0, pi)
+    img, gy, gx, ori = _workspace()
+    np.divide(patch.pixels, 255.0, out=img)
+    for f, grad in ((img, gy), (img.T, gx.T)):  # along rows, then columns
+        np.subtract(f[2:], f[:-2], out=grad[1:-1])
+        grad[1:-1] /= 2.0
+        np.subtract(f[1], f[0], out=grad[0])
+        np.subtract(f[-1], f[-2], out=grad[-1])
+    np.arctan2(gy, gx, out=ori)  # unsigned orientation, folded into [0, pi)
+    mag = np.hypot(gx, gy, out=gx)
     ori[ori == math.pi] = 0.0  # fmod(pi, pi) is 0
-    ori += math.pi * (ori < 0)  # (-pi, 0) -> a + pi; a + 0.0 is a
-    bins = np.minimum((ori / (math.pi / _ORI_BINS)).astype(np.int8), _ORI_BINS - 1)
+    # (-pi, 0) -> a + pi; a + 0.0 is a
+    ori += np.multiply(math.pi, ori < 0, out=gy)
+    bins = np.divide(ori, math.pi / _ORI_BINS, out=gy).astype(np.int8)
+    np.minimum(bins, _ORI_BINS - 1, out=bins)
 
     def cells(a: np.ndarray) -> np.ndarray:
         # (8, 8, 28, 28): cell-row, cell-col, pixels
         return a.reshape(_CELLS, _CELL, _CELLS, _CELL).transpose(0, 2, 1, 3)
 
-    c_img = cells(img)
-    c_mag = cells(mag)
-    c_bins = cells(bins)
     feats = np.empty((_CELLS, _CELLS, 8))
     for b in range(_ORI_BINS):
-        feats[:, :, b] = np.mean(c_mag * (c_bins == b), axis=(2, 3))
-    feats[:, :, 4] = c_mag.mean(axis=(2, 3))
-    feats[:, :, 5] = c_img.min(axis=(2, 3))
-    feats[:, :, 6] = c_img.mean(axis=(2, 3))
-    feats[:, :, 7] = c_img.max(axis=(2, 3))
+        feats[:, :, b] = cells(np.multiply(mag, bins == b, out=gy)).mean(
+            axis=(2, 3))
+    feats[:, :, 4] = cells(mag).mean(axis=(2, 3))
+    feats[:, :, 5] = cells(patch.pixels).min(axis=(2, 3)) / 255.0
+    feats[:, :, 6] = cells(img).mean(axis=(2, 3))
+    feats[:, :, 7] = cells(patch.pixels).max(axis=(2, 3)) / 255.0
     return FeatureSample(id=patch.id, label=patch.label,
                          values=feats.reshape(-1), source="built-in")
 

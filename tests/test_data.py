@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import qcrack
 from qcrack.data import (PATCH_SIZE, FeatureSample, Patch, SplitConfig,
-                         _draw_crack, derive_rng, derive_seed,
+                         _draw_crack, _workspace, derive_rng, derive_seed,
                          derive_streams, extract_features,
                          generate_synthetic, import_features, load_dataset,
                          read_pgm, split, split_record, write_patches,
@@ -331,6 +332,33 @@ class TestFeatures:
         for p in generate_synthetic(2, 2, seed=10):
             assert np.all(np.isfinite(extract_features(p).values))
 
+    def test_no_aliasing_through_the_workspace(self):
+        a, b = generate_synthetic(1, 1, seed=5)
+        first = extract_features(a).values
+        kept = first.copy()
+        extract_features(b)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, _workspace())
+
+    def test_call_keeps_only_the_workspace(self):
+        # README's statement: four float64 planes for the process, and a
+        # later call peaks under one plane of its own
+        plane = PATCH_SIZE * PATCH_SIZE * 8
+        patch = generate_synthetic(1, 0, seed=4)[0]
+        _workspace.cache_clear()
+        tracemalloc.start()
+        try:
+            extract_features(patch)
+            first = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            extract_features(patch)
+            later, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first <= 4 * plane + 4096
+        assert later < first + 1024
+        assert peak - first < plane
+
 
 def reference_crack(img, rng):
     """The crack walk as first written: one scalar draw and one slice write
@@ -384,6 +412,17 @@ def edge_case_patches():
     for i in range(3):
         cases[f"random-{i}"] = rng.integers(0, 256, x.shape)
         cases[f"narrow-{i}"] = rng.integers(100, 104, x.shape)  # dense ties
+    # one-sided differences at the edges: each border line differs from
+    # the line next to it and from the other borders
+    edges = rng.integers(100, 104, x.shape)
+    edges[0], edges[-1], edges[:, 0], edges[:, -1] = 3, 251, 60, 190
+    cases["distinct-edges"] = edges
+    # 0 and 255 in the corners of every cell: the extremes of each cell's
+    # uint8 min/max sit on its border
+    corners = rng.integers(100, 104, x.shape)
+    at = np.isin(y % 28, (0, 27)) & np.isin(x % 28, (0, 27))
+    corners[at] = np.where((x + y)[at] % 2, 255, 0)  # two 0s, two 255s
+    cases["cell-corners"] = corners
     return {name: a.astype(np.uint8) for name, a in cases.items()}
 
 
@@ -426,6 +465,17 @@ class TestDataLayerPinned:
         got = extract_features(Patch(name, "crack", pixels)).values
         assert got.tobytes() == reference_features(pixels).tobytes()
 
+    def test_read_only_and_strided_pixels_match(self, tmp_path):
+        pixels = generate_synthetic(1, 0, seed=6)[0].pixels
+        write_pgm(tmp_path / "p.pgm", pixels)
+        loaded = read_pgm(tmp_path / "p.pgm")
+        strided = pixels.T.copy().T
+        assert not loaded.flags.writeable
+        assert not strided.flags.c_contiguous
+        for view in (loaded, strided):
+            got = extract_features(Patch("p", "crack", view)).values
+            assert got.tobytes() == reference_features(pixels).tobytes()
+
 
 class TestPgmIO:
     def test_round_trip(self, tmp_path):
@@ -460,15 +510,24 @@ class TestPgmIO:
         write_pgm(path, np.zeros((224, 224), dtype=np.uint8))
         before = path.read_bytes()
 
-        class Unreadable:
-            shape = (224, 224)
-
+        class Unreadable(np.ndarray):
             def tobytes(self):
                 raise OSError("read error")
 
         with pytest.raises(OSError):
-            write_pgm(path, Unreadable())
+            write_pgm(path, np.zeros((224, 224), np.uint8).view(Unreadable))
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("pixels", [
+        np.zeros((4, 4)),                           # 8 bytes a pixel
+        np.full((4, 4), 300, dtype=np.uint16),      # 2 bytes, above maxval
+        np.zeros((2, 3, 4), dtype=np.uint8),        # a `3 2` header
+    ], ids=["float64", "uint16", "3-d"])
+    def test_unreadable_pixels_rejected_before_any_file(self, tmp_path,
+                                                        pixels):
+        with pytest.raises(DataError, match=r"x\.pgm: .*2-D uint8"):
+            write_pgm(tmp_path / "x.pgm", pixels)
+        assert list(tmp_path.iterdir()) == []
 
     def test_wrong_dimensions(self, tmp_path):
         write_pgm(tmp_path / "bad.pgm", np.zeros((225, 224), dtype=np.uint8))
