@@ -147,7 +147,7 @@ def evaluate_rows(spec: CircuitSpec, angles: np.ndarray,
     is returned as it is, without a stacking copy; zero rows run one empty
     block and read out as (0, Q). The blocks bound the amplitudes; evolve
     also keeps z_signs (Q*2^Q float64, 160 MiB at Q = 20) and
-    brick_permutation (2^Q int64) per Q for the life of the process."""
+    brick_permutation (2^Q int64) of the two latest register sizes."""
     step = max(1, BLOCK_AMPS >> spec.num_qubits)
     streams = mode and (derive_streams(mode.seed, keys, len(angles))
                         if mode.streams is None else mode.streams)

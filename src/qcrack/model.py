@@ -28,6 +28,7 @@ ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_ONE_HOT = np.eye(2)  # row y is label y's one-hot
 
 
 @dataclass
@@ -139,15 +140,18 @@ class HybridModel:
         return self._params
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of one sample and its gradient in the logits (the
-    softmax minus the one-hot label), both from one exp."""
-    shifted = logits - logits.max()
+def cross_entropy(logits: np.ndarray, labels
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) cross-entropies of a (B, 2) logit stack against its labels (one
+    int for all rows, or one per row) and their gradients in the logits,
+    the softmax minus the one-hot label. Each row rounds as it would alone:
+    log(sum e) - shifted[y], and x - 0.0 is x off the label."""
+    shifted = logits.T - np.maximum(*logits.T)  # one column per row
     e = np.exp(shifted)
-    total = e.sum()
-    g = e / total
-    g[label] -= 1.0
-    return float(np.log(total) - shifted[label]), g
+    total = e[0] + e[1]
+    g = (e / total).T
+    g -= _ONE_HOT[labels]
+    return np.log(total) - np.where(labels, shifted[1], shifted[0]), g
 
 
 def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
@@ -180,9 +184,10 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
         m = Shots(mode.shots, derive_seed(mode.seed, i)) if mode and i else mode
         z, jac = value_and_jacobian(model.qspec, QNodeInput(u, model.qparams),
                                     method, ledger, m)
-        logits = logits_out[i] = model.post.apply(z)
-        loss, g_logits = cross_entropy(logits, label)
-        total_loss += loss
+        logits_out[i] = model.post.apply(z)
+        loss, g = cross_entropy(logits_out[i:i + 1], label)
+        total_loss += float(loss[0])
+        g_logits = g[0]
         grads["post_w"] += g_logits[:, None] * z
         grads["post_b"] += g_logits
         g_z = model.post.weights.T @ g_logits
@@ -190,7 +195,8 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
         g_u = encode_features_vjp(u, jac.d_inputs.T @ g_z)
         grads["pre_w"] += g_u[:, None] * features
         grads["pre_b"] += g_u
-    grads.vector /= len(batch)
+    if len(batch) > 1:  # x / 1 is x, so a one-sample step skips the pass
+        grads.vector /= len(batch)
     return total_loss / len(batch), grads, logits_out
 
 
@@ -317,24 +323,19 @@ def evaluate_test(model: HybridModel, test_set, mode: Shots | None = None,
     derive_seed(mode.seed, seed_tag, i)."""
     if not test_set:
         raise ValueError("test split is empty")
-    conf = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
-    loss = 0.0
-    wrong: list[str] = []
     rows = model.forward_rows([s.values for s in test_set], ledger, mode,
                               (seed_tag,))
-    for s, logits in zip(test_set, rows):
-        y = LABELS.index(s.label)
-        pred = int(np.argmax(logits))
-        loss += cross_entropy(logits, y)[0]
-        conf[("tn", "fn", "fp", "tp")[2 * pred + y]] += 1
-        if pred != y:
-            wrong.append(s.id)
+    labels = np.array([LABELS.index(s.label) for s in test_set])
+    pred = rows.argmax(axis=1)
+    tn, fn, fp, tp = np.bincount(2 * pred + labels, minlength=4).tolist()
     n = len(test_set)
     return TestReport(
-        loss=loss / n,
-        accuracy=(conf["tp"] + conf["tn"]) / n,
-        confusion=conf,
-        misclassified=wrong,
+        # a running sum, as image by image: np.sum would add pairwise
+        loss=float(np.cumsum(cross_entropy(rows, labels)[0])[-1]) / n,
+        accuracy=(tp + tn) / n,
+        confusion={"tp": tp, "fp": fp, "fn": fn, "tn": tn},
+        misclassified=[s.id for s, wrong in zip(test_set, pred != labels)
+                       if wrong],
     )
 
 

@@ -97,9 +97,11 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _pair_indices(num_qubits: int, target: int, control: int | None):
-    """Indices of the amplitude pairs a gate mixes: target bit 0, then 1."""
+    """Indices of the amplitude pairs a gate mixes: target bit 0, then 1.
+    Up to 2^Q int64 (8 MiB at Q = 20), kept for the 16 latest gates; a
+    miss rebuilds them in 7 us at Q = 4 and 9 ms at Q = 20."""
     idx = np.arange(1 << num_qubits)
     lo = idx[(idx >> target) & 1 == 0]
     if control is not None:
@@ -137,9 +139,11 @@ def apply_gates(state: StateVector, gates) -> StateVector:
     return state
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def z_signs(num_qubits: int) -> np.ndarray:
-    """(Q, 2^Q) eigenvalues of Z_k on each basis state: 1 - 2*bit_k."""
+    """(Q, 2^Q) eigenvalues of Z_k on each basis state: 1 - 2*bit_k.
+    Q*2^Q float64 (160 MiB at Q = 20), kept for the two latest register
+    sizes; a miss rebuilds it in 5 us at Q = 4 and 0.16 s at Q = 20."""
     idx = np.arange(1 << num_qubits)
     return 1.0 - 2.0 * ((idx >> np.arange(num_qubits)[:, None]) & 1)
 
@@ -198,9 +202,11 @@ def brick_pairs(num_qubits: int) -> list[tuple[int, int]]:
     return evens + odds
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def brick_permutation(num_qubits: int) -> np.ndarray:
-    """amps[:, perm] applies the CX gates of one brick, in order."""
+    """amps[:, perm] applies the CX gates of one brick, in order. 2^Q
+    int64 (8 MiB at Q = 20), kept for the two latest register sizes; a
+    miss rebuilds it in 10 us at Q = 4 and 0.17 s at Q = 20."""
     idx = perm = np.arange(1 << num_qubits)
     for control, target in brick_pairs(num_qubits):
         perm = perm[idx ^ (((idx >> control) & 1) << target)]
@@ -212,6 +218,9 @@ _SWAP_SIGN = np.array([[-1.0], [1.0]])
 # amplitudes per evaluate_rows block (or one row of 2^Q for Q >= 14), and
 # the most a cached plan buffer of evolve holds
 BLOCK_AMPS = 1 << 13
+
+# evolve's gate-loop ufunc buffer, in elements, on rows at least this long
+_GATE_BUFSIZE = 1 << 8
 
 
 @functools.lru_cache(maxsize=16)
@@ -257,12 +266,13 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
     encoding, then q_depth blocks of a CX brick and one Ry per wire, with
     one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q);
-    kept for the life of the process are z_signs (Q*2^Q float64, 160 MiB
-    at Q = 20) and brick_permutation (2^Q int64) per Q, and at most 16
-    plans of at most BLOCK_AMPS amplitudes per buffer, only tangent plans
-    with a flip table. Every gate is real, so float64 loses nothing, and
-    each Ry rounds as apply_gate's formula: the amplitudes equal the real
-    parts of the register apply_gate evolves, bit for bit.
+    kept for the life of the process are z_signs and brick_permutation
+    of the two latest register sizes (their docstrings give bytes and
+    miss costs), and at most 16 plans of at most BLOCK_AMPS amplitudes
+    per buffer, only tangent plans with a flip table. Every gate is real,
+    so float64 loses nothing, and each Ry rounds as apply_gate's formula:
+    the amplitudes equal the real parts of the register apply_gate
+    evolves, bit for bit.
 
     Each Ry is three in-place ufuncs and each brick one np.take on the
     buffers of `_gate_plan`, cached per shape when they hold at most
@@ -272,6 +282,13 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     each product is the same, written to the same address. The result is
     a copy, so later calls do not change it; the cached buffers make
     evolve not reentrant across threads.
+
+    Rows of at least _GATE_BUFSIZE amplitudes run the gate loop under a
+    ufunc buffer that size, given back to the caller's by error too: with
+    numpy's 8,192, each broadcast multiply allocated 64 KiB per operand
+    first. Buffering only changes how numpy feeds an elementwise loop, so
+    the bits stay; no reduction runs under it, since a smaller buffer
+    could regroup a sum. Shorter rows gained nothing and skip it.
 
     Tangents take exactly one row of angles (ValueError otherwise): each
     Ry wall appends Ry(pi) of the ket on each of its wires, and those rows
@@ -302,16 +319,22 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     c = np.cos(half).T[:, :, None]
     s = np.sin(half).T[:, :, None, None, None] * _SWAP_SIGN
     perm = brick_permutation(num_qubits)
-    for c_j, s_j, (src, a, flipped, t4, t, tan) in zip(c, s, steps):
-        if src is not None:  # mode="raise" would buffer a copy of out
-            np.take(src, perm, axis=1, out=a, mode="clip")
-        # c*(a0, a1) + (-s, s)*(a1, a0) rounds as apply_gate's c*a0 - s*a1,
-        # s*a0 + c*a1: (-s)*a1 is exactly -(s*a1) and addition commutes
-        np.multiply(flipped, s_j, out=t4, order="C")
-        a *= c_j
-        a += t
-        if tan is not None:
-            np.multiply(a[0, idx], sign, out=tan)
+    wide = 1 << num_qubits >= _GATE_BUFSIZE
+    old = np.setbufsize(_GATE_BUFSIZE) if wide else None
+    try:
+        for c_j, s_j, (src, a, flipped, t4, t, tan) in zip(c, s, steps):
+            if src is not None:  # mode="raise" would buffer a copy of out
+                np.take(src, perm, axis=1, out=a, mode="clip")
+            # c*(a0, a1) + (-s, s)*(a1, a0) rounds as c*a0 - s*a1, s*a0 +
+            # c*a1 (apply_gate's): (-s)*a1 is -(s*a1) and addition commutes
+            np.multiply(flipped, s_j, out=t4, order="C")
+            a *= c_j
+            a += t
+            if tan is not None:
+                np.multiply(a[0, idx], sign, out=tan)
+    finally:
+        if wide:
+            np.setbufsize(old)
     return out.copy()
 
 
@@ -337,7 +360,10 @@ def sampled_z_rows(amps: np.ndarray, shots: int, streams) -> np.ndarray:
     for that register and seed, read as `estimate_z_from_counts` reads
     them. One division normalises the block, as each row's p / p.sum()."""
     check_int("shots", shots, 1, MAX_SHOTS)
-    streams = np.ascontiguousarray(streams, np.uint64).reshape(len(amps), 4)
+    streams = np.ascontiguousarray(streams, np.uint64)
+    if streams.shape != (len(amps), 4):
+        raise ValueError(f"{len(streams)} shot streams for {len(amps)} rows "
+                         f"(words shaped {streams.shape}, not (B, 4))")
     np.random.bit_generator.ISeedSequence.register(_Stream)
     probs = amps * amps
     probs /= probs.sum(axis=1, keepdims=True)

@@ -99,7 +99,8 @@ class TestForward:
 
 class TestLossAndGrad:
     def test_uniform_logits_loss(self):
-        assert cross_entropy(np.zeros(2), 0)[0] == pytest.approx(math.log(2))
+        assert cross_entropy(np.zeros((1, 2)), [0])[0] == pytest.approx(
+            [math.log(2)])
         model = tiny_model()
         for p in model.parameters().values():
             p[:] = 0.0
@@ -388,11 +389,9 @@ class TestTrain:
         # symmetric head: both logits start identical on every sample
         model.post.weights[1] = model.post.weights[0]
         model.post.bias[:] = 0.0
-        loss = np.mean([
-            cross_entropy(model.forward(s.values),
-                          1 if s.label == "crack" else 0)[0]
-            for s in samples
-        ])
+        loss = np.mean(cross_entropy(
+            model.forward_rows([s.values for s in samples]),
+            [1 if s.label == "crack" else 0 for s in samples])[0])
         assert abs(loss - math.log(2)) <= 0.05
 
     def test_learns_separable_data(self):
@@ -466,6 +465,51 @@ class TestEvaluateTest:
         report = evaluate_test(model, samples)
         assert report.accuracy == pytest.approx(665 / 1125)
         assert report.confusion == {"tp": 665, "fp": 460, "fn": 0, "tn": 0}
+
+
+def per_image_report(model, samples, mode, seed_tag):
+    """evaluate_test as it read a split image by image: one scalar
+    cross-entropy per row, added into a running float."""
+    rows = model.forward_rows([s.values for s in samples], None, mode,
+                              (seed_tag,))
+    conf = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    loss, wrong = 0.0, []
+    for s, logits in zip(samples, rows):
+        y = 1 if s.label == "crack" else 0
+        pred = int(np.argmax(logits))
+        shifted = logits - logits.max()
+        loss += float(np.log(np.exp(shifted).sum()) - shifted[y])
+        conf[("tn", "fn", "fp", "tp")[2 * pred + y]] += 1
+        if pred != y:
+            wrong.append(s.id)
+    n = len(samples)
+    return model_mod.TestReport(loss / n, (conf["tp"] + conf["tn"]) / n,
+                                conf, wrong)
+
+
+class TestOnePassReadout:
+    """evaluate_test reads a split in one pass with the bits of the
+    image-by-image loop, on every report field."""
+
+    @pytest.mark.parametrize("q,depth,samples,mode", [
+        (4, 1, make_samples(92, 6, 61), None),
+        (10, 3, make_samples(32, 6, 62), Shots(1024, 63)),
+        (4, 1, make_samples(1, 6, 64)[:1], None),
+        (3, 2, [s for s in make_samples(9, 6, 65)
+                if s.label == "no_crack"], Shots(64, 66)),
+    ], ids=["exact-q4-184", "shots-q10-64", "one-row", "single-class"])
+    def test_equals_per_image_loop(self, q, depth, samples, mode):
+        model = HybridModel.init(6, CircuitSpec(num_qubits=q, q_depth=depth),
+                                 q + depth)
+        want = per_image_report(model, samples, mode, 0xE7A1)
+        got = evaluate_test(model, samples, mode)
+        assert got.loss == want.loss and type(got.loss) is float
+        assert got.accuracy == want.accuracy
+        assert got.confusion == want.confusion
+        assert list(got.confusion) == ["tp", "fp", "fn", "tn"]
+        assert all(type(v) is int for v in got.confusion.values())
+        assert got.misclassified == want.misclassified
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 # A well-formed checkpoint of a 1-feature, 1-qubit model with seed 1.

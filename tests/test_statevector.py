@@ -386,6 +386,24 @@ class TestKernel:
         assert _gate_plan.cache_info().currsize == 1
         assert _gate_plan(12, 1, 1, False)[3:] == (None, None)
 
+    def test_per_register_tables_are_bounded(self):
+        # z_signs and brick_permutation keep two register sizes' tables,
+        # _pair_indices sixteen gates' index pairs, the latest ones
+        for cache in (z_signs, brick_permutation, _pair_indices):
+            cache.cache_clear()
+        for q in range(1, 9):
+            z_rows(evolve(q, 1, np.zeros((1, 2 * q))))
+            for target in range(q):
+                apply_gate(zero_state(q), Gate("h", target))
+        for cache, bound in ((z_signs, 2), (brick_permutation, 2),
+                             (_pair_indices, 16)):
+            info = cache.cache_info()
+            assert info.maxsize == info.currsize == bound
+        for cache in (z_signs, brick_permutation):
+            hits = cache.cache_info().hits
+            cache(8), cache(7)
+            assert cache.cache_info().hits == hits + 2
+
     @pytest.mark.parametrize("q", [13, 14])
     def test_tangent_peak_is_under_five_times_its_rows(self, q):
         # README's bound: under 5x the bytes of the 1+L*Q rows, tables and
@@ -424,6 +442,55 @@ class TestKernel:
             evolve(2, 1, np.zeros((1, 3)))
         with pytest.raises(ValueError):
             evolve(2, 1, np.zeros(4))
+
+
+class TestGateBuffer:
+    """evolve runs its gate loop under a smaller ufunc buffer on wide
+    registers and gives the caller's buffer size back however it ends."""
+
+    @pytest.mark.parametrize("q,tangents", [(4, False), (4, True),
+                                            (10, False), (10, True)])
+    @pytest.mark.parametrize("caller", [None, 64, 1 << 16])
+    def test_caller_size_restored(self, q, tangents, caller):
+        before = np.getbufsize()
+        if caller is not None:
+            np.setbufsize(caller)
+        try:
+            want = np.getbufsize()
+            evolve(q, 1, np.ones((1, 2 * q)), tangents)
+            assert np.getbufsize() == want
+        finally:
+            np.setbufsize(before)
+
+    @pytest.mark.parametrize("q,inside", [(4, None), (10, 256)])
+    def test_caller_size_restored_after_an_error(self, q, inside):
+        # the first brick's np.take raises inside the gate loop; the loop
+        # sees the scoped size on the wide register only
+        seen = []
+
+        def take(*args, **kwargs):
+            seen.append(np.getbufsize())
+            raise RuntimeError("take failed")
+
+        before = np.getbufsize()
+        with mock.patch("numpy.take", take):
+            with pytest.raises(RuntimeError, match="take failed"):
+                evolve(q, 1, np.ones((2, 2 * q)))
+        assert np.getbufsize() == before
+        assert seen == [inside or before]
+
+    def test_warm_forward_peak_is_its_result_and_16_kib(self):
+        # a buffer of 8,192 elements made each broadcast multiply allocate
+        # 64 KiB per operand: 209,280 B traced before the scope
+        angles = np.random.default_rng(4).uniform(-3, 3, size=(8, 40))
+        evolve(10, 3, angles)
+        tracemalloc.start()
+        try:
+            rows = evolve(10, 3, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 16 * 1024
 
 
 class TestSampledRows:
@@ -467,3 +534,12 @@ class TestSampledRows:
             sampled_z_rows(amps, 8, np.zeros((2, 4), np.uint64))
         with pytest.raises(ValueError):
             sampled_z_rows(amps, 8, np.zeros((3, 3), np.uint64))
+
+    def test_stream_count_mismatch_names_both_counts(self):
+        # three streams of four rows once failed in numpy's reshape, as
+        # "cannot reshape array of size 12 into shape (4,4)"
+        amps = evolve(2, 1, np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="^3 shot streams for 4 rows"):
+            sampled_z_rows(amps, 8, derive_streams(1, (), 3))
+        with pytest.raises(ValueError, match="for 4 rows"):
+            sampled_z_rows(amps, 8, np.zeros(16, np.uint64))
