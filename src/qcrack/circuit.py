@@ -64,8 +64,8 @@ class CircuitSpec:
 @dataclass(frozen=True)
 class Shots:
     """Shot-based evaluation mode; None means exact expectations. If set,
-    `streams` holds the rows' derive_streams words, hashed ahead by the
-    caller, and then nothing reads `seed`. Equality ignores `streams`."""
+    `streams` holds one call's derive_streams rows, read in place of `seed`
+    (loss_and_grad takes them for one sample). Equality ignores `streams`."""
     shots: int
     seed: int
     streams: np.ndarray | None = field(default=None, compare=False, repr=False)

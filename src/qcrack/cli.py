@@ -321,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "statevector simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)  # all but gen's
+    json_flag.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="generate synthetic crack/no-crack patches")
     p.add_argument("n_crack", type=int)
@@ -329,14 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="train the hybrid classifier")
+    p = sub.add_parser("train", parents=[json_flag],
+                       help="train the hybrid classifier")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", default=None, help="override config out_dir")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    p = sub.add_parser("eval", parents=[json_flag],
+                       help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--features", default=None, help="feature CSV")
@@ -345,27 +348,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None, help="manifest CSV")
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck",
+    p = sub.add_parser("gradcheck", parents=[json_flag],
                        help="cross-check the three gradient methods")
     p.add_argument("--qubits", type=int, default=CircuitSpec.num_qubits)
     p.add_argument("--q-depth", type=int, default=CircuitSpec.q_depth)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ledger", help="predicted device calls per epoch")
+    p = sub.add_parser("ledger", parents=[json_flag],
+                       help="predicted device calls per epoch")
     p.add_argument("T", type=int)
     p.add_argument("V", type=int)
     p.add_argument("L", type=int)
     p.add_argument("Q", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ledger)
 
-    p = sub.add_parser("estimate",
+    p = sub.add_parser("estimate", parents=[json_flag],
                        help="device/wall time from backend throughput")
     p.add_argument("--profile", default=None,
                    help="built-in profile name or profile JSON path")
@@ -376,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-calls", type=int, required=True)
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
     return parser

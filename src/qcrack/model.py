@@ -167,10 +167,14 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
     refilled and returned, or a new vector without it. Only quantum-node
     executions touch the ledger.
     In shot mode sample 0 samples under `mode` and sample i > 0 under
-    derive_seed(mode.seed, i), so no two samples share shot noise.
+    derive_seed(mode.seed, i), so no two samples share shot noise; hashed
+    mode.streams cover one sample, so a larger batch raises ValueError.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
+    if mode and mode.streams is not None and len(batch) > 1:
+        raise ValueError(f"hashed shot streams cover one sample, not a "
+                         f"batch of {len(batch)}")
     params = model.parameters()
     if grads is None:
         grads = ParamVector(params, np.empty_like(params.vector))

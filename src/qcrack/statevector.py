@@ -97,32 +97,26 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits)
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_indices(num_qubits: int, target: int, control: int | None):
-    """Indices of the amplitude pairs a gate mixes: target bit 0, then 1.
-    Up to 2^Q int64 (8 MiB at Q = 20), kept for the 16 latest gates; a
-    miss rebuilds them in 7 us at Q = 4 and 9 ms at Q = 20."""
-    idx = np.arange(1 << num_qubits)
-    lo = idx[(idx >> target) & 1 == 0]
-    if control is not None:
-        lo = lo[(lo >> control) & 1 == 1]
-    return lo, lo | (1 << target)
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply `gate` in place via stride iteration; returns the same register."""
+    """Apply `gate` in place, on basic-index views of the (2,)*Q register:
+    qubit q is axis Q-1-q, a control fixes its axis to 1; returns state."""
     n = state.num_qubits
     for q in (gate.target, gate.control):
         if q is not None:
             check_int("qubit index", q, 0, n - 1)
-    lo, hi = _pair_indices(n, gate.target, gate.control)
-    amps = state.amps
-    a0 = amps[lo]
-    a1 = amps[hi]
+    amps = state.amps.reshape((2,) * n)  # a 1-D array: always a view
+    at = [slice(None)] * n + [Ellipsis]  # 0-d halves, not scalars, at Q=1
+    if gate.control is not None:
+        at[n - 1 - gate.control] = 1
+    at[n - 1 - gate.target] = 0
+    lo = tuple(at)
+    at[n - 1 - gate.target] = 1
+    hi = tuple(at)
+    a0 = amps[lo].copy()
+    a1 = amps[hi].copy()
     kind = gate.kind
     if kind == "x" or kind == "cx":
-        amps[lo] = a1
-        amps[hi] = a0
+        amps[lo], amps[hi] = a1, a0
     elif kind == "h":
         amps[lo] = _SQRT_HALF * (a0 + a1)
         amps[hi] = _SQRT_HALF * (a0 - a1)

@@ -231,6 +231,14 @@ class TestGenCommand:
         assert (out_dir / "manifest.csv").read_text().splitlines() == \
             ["filename,label"]
 
+    def test_json_is_not_a_flag(self, capsys, tmp_path):
+        # gen prints one line and has no document
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "1", "1", "--out", str(tmp_path / "d"), "--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestGradcheckCommand:
     def test_defaults_pass(self, capsys):

@@ -10,7 +10,7 @@ from qcrack import model as model_mod
 from qcrack.autodiff import CallLedger, GradMethod, ledger_predict
 from qcrack.circuit import (CircuitSpec, Shots, encode_features,
                             evaluate_angles, evaluate_rows)
-from qcrack.data import FeatureSample
+from qcrack.data import FeatureSample, derive_streams
 from qcrack.errors import DataError, FormatError, ReconciliationError
 from qcrack.model import (HybridModel, LinearLayer, OptimizerState,
                           ParamVector, adam_step, cross_entropy, evaluate_test,
@@ -125,6 +125,21 @@ class TestLossAndGrad:
         _, _, single = loss_and_grad(model, [(x, 1)], PS, CallLedger(), mode)
         assert not np.array_equal(pair[0], pair[1])
         assert np.array_equal(single[0], pair[0])
+
+    def test_hashed_streams_take_one_sample(self):
+        # sample 1 of a streamed batch drew derive_seed(mode.seed, 1) in
+        # every step, so its shot noise repeated while sample 0's moved on
+        model = tiny_model(seed=5)
+        x = np.array([0.3, -0.1, 0.2, 0.4])
+        streams = derive_streams(5, (0,), 2, 9)  # 9 rows a Q=2, L=2 step
+        ledger = CallLedger()
+        for step in (0, 1):
+            mode = Shots(64, 5, streams[step])
+            with pytest.raises(ValueError, match="batch of 2"):
+                loss_and_grad(model, [(x, 1), (x, 1)], PS, ledger, mode)
+            assert ledger.n_calls == 9 * step  # no row of the batch ran
+            loss_and_grad(model, [(x, 1)], PS, ledger, mode)
+        assert ledger.n_calls == 18
 
     @pytest.mark.parametrize("label", [2, -1, True, 1.0])
     def test_bad_label(self, label):

@@ -15,8 +15,8 @@ from qcrack.circuit import CircuitSpec, build_from_angles
 from qcrack.data import derive_seed, derive_streams
 from qcrack.errors import CapacityError, DataError
 from qcrack.statevector import (BLOCK_AMPS, Gate, StateVector, _gate_plan,
-                                _pair_indices, apply_gate, apply_gates,
-                                brick_pairs, brick_permutation, check_qubits,
+                                apply_gate, apply_gates, brick_pairs,
+                                brick_permutation, check_qubits,
                                 estimate_z_from_counts, evolve, sample,
                                 sampled_z_rows, z_expectation, z_rows,
                                 z_signs, zero_state)
@@ -129,6 +129,63 @@ class TestApplyGate:
                      Gate("cx", 0, control=1), Gate("cry", 0, control=1, theta=1.2)]:
             u = gate.local_matrix()
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
+
+    @pytest.mark.parametrize("q,sha256", [
+        (1, "4cc720da80f2d96c44ddb1ab3febcbf1"
+            "5197436298dd8ac10303af08dc7bc31d"),
+        (3, "b0eb1de1b8a96977c89ee5fbf0d54613"
+            "ec5de82adc7286c1ec55a2bc18e91861"),
+        (6, "728db8a2bfd300e549c0573f9999471a"
+            "3f323a9e6db77bcb5d388adb13911ba9"),
+    ])
+    def test_all_kinds_pinned(self, q, sha256):
+        # the bytes of the register when each gate gathered its halves
+        # through int64 index arrays; x and cry run in no kernel comparison
+        rng = np.random.default_rng(100 + q)
+        amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+        gates = random_gate_sequence(rng, q, 20 * q)
+        if q > 1:
+            assert {g.kind for g in gates} == {"x", "h", "ry", "cx", "cry"}
+            controls = [g.control - g.target for g in gates
+                        if g.control is not None]
+            assert min(controls) < 0 < max(controls)
+        state = apply_gates(StateVector(q, amps), gates)
+        assert hashlib.sha256(state.amps.tobytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("view", [slice(None, None, 2),
+                                      slice(None, None, -1)])
+    def test_strided_register_updated_in_place(self, view):
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=32) + 1j * rng.normal(size=32)
+        amps = base[view][:16]
+        gates = random_gate_sequence(rng, 4, 60)
+        expected = apply_dense(amps, gates, 4)
+        contiguous = apply_gates(StateVector(4, amps.copy()), gates).amps
+        state = apply_gates(StateVector(4, amps), gates)
+        assert state.amps is amps and np.shares_memory(amps, base)
+        assert np.max(np.abs(amps - expected)) <= 1e-12
+        assert np.array_equal(amps, contiguous)
+
+    def test_warm_gates_keep_no_arrays(self):
+        # 27 distinct (target, control) pairs at Q=14, all five kinds
+        n = 14
+        gates = [Gate(("x", "h", "ry")[t % 3], t, theta=0.3 * t)
+                 for t in range(n)]
+        gates += [Gate(("cx", "cry")[t % 2], t, control=(t + 5) % n,
+                       theta=0.1 * t) for t in range(n - 1)]
+        state = zero_state(n)
+        apply_gates(state, gates)
+        tracemalloc.start()
+        try:
+            apply_gates(state, gates)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        # numpy traces array data in its own domain; the interpreter's
+        # free lists, which no call controls, stay out of the count
+        kept = snapshot.filter_traces([tracemalloc.DomainFilter(
+            True, np.lib.tracemalloc_domain)]).traces
+        assert sum(trace.size for trace in kept) == 0
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -379,26 +436,22 @@ class TestKernel:
         assert _gate_plan.cache_info().currsize == len(cached)
 
     def test_forward_call_keeps_no_tangent_table(self):
-        for cache in (_gate_plan, brick_permutation, _pair_indices):
+        for cache in (_gate_plan, brick_permutation):
             cache.cache_clear()
         evolve(12, 1, np.zeros((1, 24)))
-        assert _pair_indices.cache_info().currsize == 0
         assert _gate_plan.cache_info().currsize == 1
         assert _gate_plan(12, 1, 1, False)[3:] == (None, None)
 
     def test_per_register_tables_are_bounded(self):
         # z_signs and brick_permutation keep two register sizes' tables,
-        # _pair_indices sixteen gates' index pairs, the latest ones
-        for cache in (z_signs, brick_permutation, _pair_indices):
+        # the latest ones
+        for cache in (z_signs, brick_permutation):
             cache.cache_clear()
         for q in range(1, 9):
             z_rows(evolve(q, 1, np.zeros((1, 2 * q))))
-            for target in range(q):
-                apply_gate(zero_state(q), Gate("h", target))
-        for cache, bound in ((z_signs, 2), (brick_permutation, 2),
-                             (_pair_indices, 16)):
+        for cache in (z_signs, brick_permutation):
             info = cache.cache_info()
-            assert info.maxsize == info.currsize == bound
+            assert info.maxsize == info.currsize == 2
         for cache in (z_signs, brick_permutation):
             hits = cache.cache_info().hits
             cache(8), cache(7)
