@@ -113,6 +113,11 @@ def value_and_jacobian(spec: CircuitSpec, qinput: QNodeInput,
     call; in shot mode row i samples with seed derive_seed(mode.seed, i),
     or from mode.streams[i] if the caller hashed them."""
     q = spec.num_qubits
+    if (qinput.features.shape != (q,)
+            or qinput.params.shape != (spec.num_params,)):
+        raise ValueError(f"expected features ({q},) and params "
+                         f"({spec.num_params},), got {qinput.features.shape} "
+                         f"and {qinput.params.shape}")
     all_angles = np.concatenate([encode_features(qinput.features),
                                  qinput.params])
 

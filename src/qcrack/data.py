@@ -239,7 +239,8 @@ def _base_texture(rng: np.random.Generator) -> np.ndarray:
     img = np.full((PATCH_SIZE, PATCH_SIZE), 128.0)
     for grid, amp in ((7, 14.0), (28, 8.0), (56, 5.0)):
         k = PATCH_SIZE // grid
-        img += rng.normal(0.0, amp, (grid, grid)).repeat(k, 0).repeat(k, 1)
+        rows = img.reshape(grid, k, PATCH_SIZE)  # k image rows a grid row
+        rows += rng.normal(0.0, amp, (grid, grid)).repeat(k, 1)[:, None, :]
     img += rng.normal(0.0, 3.0, (PATCH_SIZE, PATCH_SIZE))
     for _ in range(rng.poisson(1.5)):
         cy, cx = rng.integers(8, PATCH_SIZE - 8, size=2)
@@ -247,8 +248,8 @@ def _base_texture(rng: np.random.Generator) -> np.ndarray:
         depth = float(rng.integers(30, 70))
         # the pore's (2r+1)^2 window lies inside: cy, cx in [8, 216), r <= 5
         window = img[cy - r:cy + r + 1, cx - r:cx + r + 1]
-        yy, xx = np.ogrid[-r:r + 1, -r:r + 1]
-        window[yy ** 2 + xx ** 2 <= r ** 2] -= depth
+        d2 = np.arange(-r, r + 1) ** 2
+        window[d2[:, None] + d2 <= r * r] -= depth
     return img
 
 
@@ -265,11 +266,12 @@ def _draw_crack(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ys = [int(rng.integers(20, PATCH_SIZE - 20))]
     for step in rng.integers(-1, 2, size=PATCH_SIZE).tolist():
         ys.append(min(max(ys[-1] + step, 1), PATCH_SIZE - 2))
-    prev, ys = np.array(ys[:-1]), np.array(ys[1:])
-    rows = np.arange(PATCH_SIZE)[:, None]  # column x: rows [min, max + width)
+    # column x: rows [min, max + width), all under 256
+    prev, ys = np.array(ys[:-1], np.uint8), np.array(ys[1:], np.uint8)
+    rows = np.arange(PATCH_SIZE, dtype=np.uint8)[:, None]
     mask = (rows >= np.minimum(prev, ys)) & (rows < np.maximum(prev, ys) + width)
     mask = mask.T if transpose else mask
-    img[mask] -= depth
+    np.subtract(img, depth, out=img, where=mask)
     return mask
 
 
@@ -286,9 +288,10 @@ def generate_synthetic(n_crack: int, n_clean: int, seed: int) -> list[Patch]:
         crack = i < n_crack
         if crack:
             _draw_crack(img, rng)
+        np.clip(img, 0, 255, out=img)
         patches.append(Patch(
             id=f"crack_{i:05d}" if crack else f"clean_{i - n_crack:05d}",
-            label=LABELS[crack], pixels=np.clip(img, 0, 255).astype(np.uint8)))
+            label=LABELS[crack], pixels=img.astype(np.uint8)))
     return patches
 
 
@@ -314,17 +317,20 @@ def extract_features(patch: Patch) -> FeatureSample:
 
     Each plane is computed in place in `_workspace()`, so no call allocates
     a patch-sized array; like `statevector.evolve`, it is not reentrant
-    across threads. The gradient is np.gradient's unit-spacing formula,
-    operation for operation and so bit for bit: (f[i+1] - f[i-1]) / 2.0
-    inside, f[1] - f[0] and f[-1] - f[-2] at the edges. Cell min/max come from
-    the uint8 pixels, then / 255.0: a correctly rounded division is
-    monotone, so it commutes with min and max.
+    across threads. The gradient is np.gradient's unit-spacing formula bit
+    for bit: (f[i+1] - f[i-1]) * 0.5, the same rounded x / 2 as / 2.0, in
+    one flat pass, then f[1] - f[0] and f[-1] - f[-2] at the edges. Cell
+    min/max reduce the uint8 pixels over rows, then columns, then / 255.0:
+    both are exact in any order, and the monotone division commutes.
     """
     img, gy, gx, ori = _workspace()
     np.divide(patch.pixels, 255.0, out=img)
-    for f, grad in ((img, gy), (img.T, gx.T)):  # along rows, then columns
-        np.subtract(f[2:], f[:-2], out=grad[1:-1])
-        grad[1:-1] /= 2.0
+    flat = img.reshape(-1)
+    for plane, d in ((gy, PATCH_SIZE), (gx, 1)):  # along rows, then columns
+        inside = plane.reshape(-1)[d:-d]  # gx's also spans the row ends
+        np.subtract(flat[2 * d:], flat[:-2 * d], out=inside)
+        inside *= 0.5
+    for f, grad in ((img, gy), (img.T, gx.T)):  # one-sided edges, last
         np.subtract(f[1], f[0], out=grad[0])
         np.subtract(f[-1], f[-2], out=grad[-1])
     np.arctan2(gy, gx, out=ori)  # unsigned orientation, folded into [0, pi)
@@ -340,13 +346,14 @@ def extract_features(patch: Patch) -> FeatureSample:
         return a.reshape(_CELLS, _CELL, _CELLS, _CELL).transpose(0, 2, 1, 3)
 
     feats = np.empty((_CELLS, _CELLS, 8))
-    for b in range(_ORI_BINS):
-        feats[:, :, b] = cells(np.multiply(mag, bins == b, out=gy)).mean(
-            axis=(2, 3))
+    for b in range(_ORI_BINS):  # mag >= 0 and finite: mag * 0.0 is +0.0
+        np.copyto(gy, bins == b)
+        feats[:, :, b] = cells(np.multiply(gy, mag, out=gy)).mean(axis=(2, 3))
     feats[:, :, 4] = cells(mag).mean(axis=(2, 3))
-    feats[:, :, 5] = cells(patch.pixels).min(axis=(2, 3)) / 255.0
+    grid = patch.pixels.reshape(_CELLS, _CELL, _CELLS, _CELL)
+    feats[:, :, 5] = grid.min(axis=1).min(axis=2) / 255.0
     feats[:, :, 6] = cells(img).mean(axis=(2, 3))
-    feats[:, :, 7] = cells(patch.pixels).max(axis=(2, 3)) / 255.0
+    feats[:, :, 7] = grid.max(axis=1).max(axis=2) / 255.0
     return FeatureSample(id=patch.id, label=patch.label,
                          values=feats.reshape(-1), source="built-in")
 

@@ -184,6 +184,9 @@ def loss_and_grad(model: HybridModel, batch: list[tuple[np.ndarray, int]],
     for i, (features, label) in enumerate(batch):
         check_int("label", label, 0, len(LABELS) - 1, DataError)
         features = np.asarray(features, dtype=float)
+        if features.shape != (model.pre.in_dim,):
+            raise ValueError(f"expected rows of {model.pre.in_dim} features, "
+                             f"got {features.shape}")
         u = model.pre.apply(features)
         m = Shots(mode.shots, derive_seed(mode.seed, i)) if mode and i else mode
         z, jac = value_and_jacobian(model.qspec, QNodeInput(u, model.qparams),

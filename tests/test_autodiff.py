@@ -255,6 +255,21 @@ class TestCallCounting:
         assert ledger.n_backward == expected
         assert ledger.n_calls == ledger.n_forward + ledger.n_backward
 
+    @pytest.mark.parametrize("method", [BP, PS, FD_FWD, FD_CTR])
+    @pytest.mark.parametrize("features,params", [
+        (np.zeros(3), np.zeros(5)),  # the right total of Q=4 angles
+        (np.zeros((1, 4)), np.zeros(4)),
+    ])
+    def test_misshaped_input_rejected_before_any_call(self, method, features,
+                                                      params):
+        spec = CircuitSpec(num_qubits=4, q_depth=1)
+        ledger = CallLedger()
+        with pytest.raises(ValueError, match=r"expected features \(4,\) and "
+                                             r"params \(4,\), got"):
+            value_and_jacobian(spec, QNodeInput(features, params), method,
+                               ledger)
+        assert ledger.n_calls == 0
+
     @pytest.mark.parametrize("method,rows", [(PS, 17), (FD_FWD, 9),
                                              (FD_CTR, 17)])
     def test_shift_rows_built_once_and_read_only(self, method, rows):

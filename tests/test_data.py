@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import os
@@ -437,6 +438,48 @@ class TestDataLayerPinned:
         digest = hashlib.sha256(b"".join(
             p.pixels.tobytes() for p in generate_synthetic(3, 3, 1234)))
         assert digest.hexdigest() == self.SHA_3_3_1234
+
+    # generate_synthetic(24, 24, 1234): its pixels, and the feature vectors
+    # of those 48 patches, each in order. The orientation bins follow
+    # np.arctan2, whose float64 loop numpy dispatches per SIMD level: the
+    # AVX-512 (X86_V4) loop and the baseline's, also taken at AVX2, round a
+    # few orientations apart and move bins on 11 of the 48 patches.
+    SHA_24_24_1234 = ("731817e8be27c312b0d276a1c8d57f6c"
+                      "55c318560a2755144106ed6c08169dfd")
+    SHA_FEATURES_24_24_1234 = {
+        "X86_V4": ("cbb6e316a56e1d63b06e53871c47c7eb"
+                   "220f6fbd818a8f9487ae2d2150d43e3f"),
+        "baseline(X86_V2)": ("23037b4f7a68a19e1a8e1cd0e17010e2"
+                             "479901d30b5abb7ed569d987dbe25cf2"),
+    }
+
+    def test_wide_batch_pixels_pinned(self, monkeypatch):
+        # the 24 cracks take both widths, each horizontal and vertical, so
+        # the masked stroke runs on both layouts of the mask
+        strokes = set()
+
+        def spy(img, rng):
+            probe = copy.deepcopy(rng)  # _draw_crack's first three draws
+            width, _, vertical = (int(probe.integers(*r))
+                                  for r in ((1, 3), (60, 110), (0, 2)))
+            strokes.add((width, bool(vertical)))
+            return _draw_crack(img, rng)
+
+        monkeypatch.setattr(qcrack.data, "_draw_crack", spy)
+        digest = hashlib.sha256(b"".join(
+            p.pixels.tobytes() for p in generate_synthetic(24, 24, 1234)))
+        assert strokes == {(1, False), (1, True), (2, False), (2, True)}
+        assert digest.hexdigest() == self.SHA_24_24_1234
+
+    def test_wide_batch_features_pinned(self):
+        introspect = pytest.importorskip("numpy.lib.introspect")
+        loop = introspect.opt_func_info("arctan2")["arctan2"]["ddd"]["current"]
+        if loop not in self.SHA_FEATURES_24_24_1234:
+            pytest.skip(f"no digest recorded for arctan2's {loop} loop")
+        digest = hashlib.sha256(b"".join(
+            extract_features(p).values.tobytes()
+            for p in generate_synthetic(24, 24, 1234)))
+        assert digest.hexdigest() == self.SHA_FEATURES_24_24_1234[loop]
 
     def test_crack_walk_matches_scalar_draws(self):
         # seeds 25 and 120 reach row 1, seeds 455 and 842 row 222

@@ -148,6 +148,15 @@ class TestLossAndGrad:
             loss_and_grad(tiny_model(), [(np.zeros(4), label)], BP, ledger)
         assert ledger.n_calls == 0
 
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros(5),
+                                          np.zeros((1, 4))])
+    def test_wrong_feature_width(self, features):
+        ledger = CallLedger()
+        with pytest.raises(ValueError,
+                           match=r"expected rows of 4 features, got \("):
+            loss_and_grad(tiny_model(), [(features, 0)], BP, ledger)
+        assert ledger.n_calls == 0
+
     def test_empty_batch(self):
         with pytest.raises(ValueError):
             loss_and_grad(tiny_model(), [], BP, CallLedger())
