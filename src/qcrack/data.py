@@ -263,11 +263,17 @@ def _draw_crack(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     width = int(rng.integers(1, 3))  # 1 or 2 px
     depth = float(rng.integers(60, 110))
     transpose = bool(rng.integers(0, 2))  # vertical crack: work transposed
-    ys = [int(rng.integers(20, PATCH_SIZE - 20))]
-    for step in rng.integers(-1, 2, size=PATCH_SIZE).tolist():
-        ys.append(min(max(ys[-1] + step, 1), PATCH_SIZE - 2))
+    start = int(rng.integers(20, PATCH_SIZE - 20))
+    free = start + np.cumsum(rng.integers(-1, 2, size=PATCH_SIZE))
+    # the walk clipped to [1, PATCH_SIZE - 2] step by step: from a start in
+    # [20, PATCH_SIZE - 20) it cannot reach both bounds in PATCH_SIZE unit
+    # steps, so it is the free walk raised by its deepest dip below 1 so
+    # far and lowered by its highest rise above PATCH_SIZE - 2
+    ys = (free + np.maximum.accumulate(np.maximum(1 - free, 0))
+          - np.maximum.accumulate(np.maximum(free - (PATCH_SIZE - 2), 0)))
     # column x: rows [min, max + width), all under 256
-    prev, ys = np.array(ys[:-1], np.uint8), np.array(ys[1:], np.uint8)
+    prev = np.concatenate(([start], ys[:-1])).astype(np.uint8)
+    ys = ys.astype(np.uint8)
     rows = np.arange(PATCH_SIZE, dtype=np.uint8)[:, None]
     mask = (rows >= np.minimum(prev, ys)) & (rows < np.maximum(prev, ys) + width)
     mask = mask.T if transpose else mask

@@ -213,25 +213,53 @@ _SWAP_SIGN = np.array([[-1.0], [1.0]])
 # the most a cached plan buffer of evolve holds
 BLOCK_AMPS = 1 << 13
 
+# evolve runs its Ry gates on flat operands on rows at most this long
+_FLAT_ROW = 1 << 5
+
 # evolve's gate-loop ufunc buffer, in elements, on rows at least this long
 _GATE_BUFSIZE = 1 << 8
 
 
 @functools.lru_cache(maxsize=16)
 def _gate_plan(num_qubits: int, q_depth: int, rows: int, tangents: bool):
-    """Two (total_rows, 2^Q) buffers and, per Ry gate, the views it reads
-    and writes: (brick source or None, state, its pair-flipped view, the
-    scratch view the flipped product goes to, the scratch rows, tangent
-    rows or None). The two 4-d views are (rows, count, pair, run), or
-    (rows, run, pair, count) when runs are shorter than their count, so a
-    C-order multiply walks the longer axis innermost. A brick copies the
-    state into the other buffer, so the two swap roles there. Returns
-    (initial rows, final state, steps, idx, sign); amps[0, idx[k]] *
-    sign[k] is Ry(pi) on qubit k of row 0, and both are None unless
-    tangents."""
+    """Two (T, 2^Q) buffers, T = rows (rows + n_gates with tangents), the
+    tables each call fills with its gates' cos and sin, and per Ry gate
+    what it reads and writes: (brick source or None, state, its
+    pair-flipped operand, flip index or None, where the flipped product
+    goes, the scratch rows, tangent rows or None, cos rows, sin rows). A
+    brick copies the state into the other buffer, so the two swap roles
+    there.
+
+    On rows of at most _FLAT_ROW amplitudes the flipped operand is the
+    state's flat view, and flip indexes it at i ^ (1 << k) plus each
+    row's offset: qubit k's row of a (Q, G, 2^Q) int64 table, where G is
+    the most rows one gate updates (rows, or rows + q_depth*Q with
+    tangents). The product goes to the scratch rows. The cos and sin
+    tables are (n_gates, G, 2^Q), and the sin one is filled times its
+    signs, each gate's row of -z_signs ((n_gates, 1, 2^Q)). Such a plan
+    keeps 8*2^Q*(2T + (2n_gates + Q)*G + n_gates) bytes, and 16*Q*2^Q
+    more with tangents. Longer rows take (n_gates, rows, 1) and (n_gates,
+    rows, 1, 2, 1) tables with _SWAP_SIGN as signs, and 4-d views (rows,
+    count, pair, run), or (rows, run, pair, count) when runs are shorter
+    than their count, so a C-order multiply walks the longer axis
+    innermost.
+
+    Returns ((initial rows, cos table, sin table, signs), final state,
+    steps, idx, sign); amps[0, idx[k]] * sign[k] is Ry(pi) on qubit k of
+    row 0, and both are None unless tangents."""
     dim = 1 << num_qubits
     n = (q_depth + 1) * num_qubits
     bufs = np.empty((2, rows + n if tangents else rows, dim))
+    flat = dim <= _FLAT_ROW
+    if flat:
+        most = rows + n - num_qubits if tangents else rows
+        cos, sin = np.empty((2, n, most, dim))
+        signs = -z_signs(num_qubits)[np.arange(n) % num_qubits, None]
+        flips = (np.arange(most * dim).reshape(most, dim)
+                 ^ (1 << np.arange(num_qubits))[:, None, None])
+    else:
+        cos, sin = np.empty((n, rows, 1)), np.empty((n, rows, 1, 2, 1))
+        signs = _SWAP_SIGN
     live, cur, steps = rows, 0, []
     for j in range(n):
         qubit = j % num_qubits
@@ -239,43 +267,70 @@ def _gate_plan(num_qubits: int, q_depth: int, rows: int, tangents: bool):
         if qubit == 0 and j:
             src, cur = bufs[cur, :live], cur ^ 1
         a, t = bufs[cur, :live], bufs[cur ^ 1, :live]
-        shape = (live, dim >> (qubit + 1), 2, 1 << qubit)
-        flipped, t4 = a.reshape(shape)[:, :, ::-1], t.reshape(shape)
-        if shape[3] < shape[1]:  # runs shorter than their count
-            flipped, t4 = (v.transpose(0, 3, 2, 1) for v in (flipped, t4))
+        if flat:
+            flipped, flip, t4 = a.reshape(-1), flips[qubit, :live], t
+            c_j, s_j = cos[j, :live], sin[j, :live]
+        else:
+            shape = (live, dim >> (qubit + 1), 2, 1 << qubit)
+            flipped, t4 = a.reshape(shape)[:, :, ::-1], t.reshape(shape)
+            flip = None
+            if shape[3] < shape[1]:  # runs shorter than their count
+                flipped, t4 = (v.transpose(0, 3, 2, 1) for v in (flipped, t4))
+            c_j, s_j = cos[j], sin[j]
         tan = None
         if tangents and qubit == num_qubits - 1:
             tan = bufs[cur, live:live + num_qubits]
             live += num_qubits
-        steps.append((src, a, flipped, t4, t, tan))
+        steps.append((src, a, flipped, flip, t4, t, tan, c_j, s_j))
     idx = sign = None
     if tangents:
         idx = np.arange(dim) ^ (1 << np.arange(num_qubits))[:, None]
         sign = -z_signs(num_qubits)
-    return bufs[0, :rows], bufs[cur], steps, idx, sign
+    return (bufs[0, :rows], cos, sin, signs), bufs[cur], steps, idx, sign
 
 
 def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
            tangents: bool = False) -> np.ndarray:
     """(B, 2^Q) float64 amplitudes of the H wall, Ry(angles[:, :Q]) as the
     encoding, then q_depth blocks of a CX brick and one Ry per wire, with
-    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q);
-    kept for the life of the process are z_signs and brick_permutation
-    of the two latest register sizes (their docstrings give bytes and
-    miss costs), and at most 16 plans of at most BLOCK_AMPS amplitudes
-    per buffer, only tangent plans with a flip table. Every gate is real,
-    so float64 loses nothing, and each Ry rounds as apply_gate's formula:
-    the amplitudes equal the real parts of the register apply_gate
-    evolves, bit for bit.
+    one row of L*Q angles (layer-major) per circuit. Memory is O(B*2^Q)
+    on rows longer than _FLAT_ROW and O(L*Q*B*2^Q) on shorter ones
+    (O((L*Q)^2*2^Q) with tangents); kept for the life of the process are
+    z_signs and brick_permutation of the two latest register sizes (their
+    docstrings give bytes and miss costs), and at most 16 plans of at
+    most BLOCK_AMPS amplitudes per buffer: a plan of short rows with its
+    flip, cos and sin tables (the bytes are in _gate_plan's docstring;
+    about 2 + 2*n_gates + Q buffers' worth, 1.4 MiB at the paper size),
+    one of longer rows with a flip table only for tangents. Every gate is
+    real, so float64 loses nothing, and each Ry rounds as apply_gate's
+    formula: the amplitudes equal the real parts of the register
+    apply_gate evolves, bit for bit.
 
-    Each Ry is three in-place ufuncs and each brick one np.take on the
-    buffers of `_gate_plan`, cached per shape when they hold at most
-    BLOCK_AMPS amplitudes each and built for the call otherwise. The
-    flipped multiply runs in C order over the plan's views, so on a qubit
-    whose runs are shorter than their count it iterates the count axis;
-    each product is the same, written to the same address. The result is
-    a copy, so later calls do not change it; the cached buffers make
-    evolve not reentrant across threads.
+    Each Ry is three ufuncs and each brick one np.take on the buffers of
+    `_gate_plan`, cached per shape when they hold at most BLOCK_AMPS
+    amplitudes each and built for the call otherwise. The Ry has two
+    forms. Rows of at most _FLAT_ROW = 32 amplitudes (Q <= 5) gather the
+    pair-flipped state through a flat index, then multiply it by the
+    call's sin table, whose entries carry the flip's sign (exact), and
+    the state by its cos table: operands of one contiguous shape, where
+    numpy spent two to five times the arithmetic on broadcast (rows, 1)
+    and strided 4-d operands at Q = 4. Longer rows keep those strided
+    views, since there the gather costs more: the flipped multiply runs
+    in C order over them, so on a qubit whose runs are shorter than their
+    count it iterates the count axis; each product is the same, written
+    to the same address. The flat form's time over the strided one's
+    (timeit min; a one-row tangent sweep / the 2LQ+1-row shift stack / a
+    block of BLOCK_AMPS amplitudes):
+
+        Q    q_depth 1           q_depth 3
+        3    0.84 0.70 0.75      0.83 0.70 0.77
+        4    0.87 0.74 0.86      0.81 0.70 0.85
+        5    0.83 0.82 0.96      0.89 0.85 1.05
+        6    0.95 0.98 1.11      1.17 0.94 1.07
+        7    1.12 1.10 1.37      1.52 1.37 1.39
+
+    The result is a copy, so later calls do not change it; the cached
+    buffers make evolve not reentrant across threads.
 
     Rows of at least _GATE_BUFSIZE amplitudes run the gate loop under a
     ufunc buffer that size, given back to the caller's by error too: with
@@ -288,8 +343,8 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
     Ry wall appends Ry(pi) of the ket on each of its wires, and those rows
     take the rest of the circuit with the ket. A wall's Ry gates commute
     and dRy(t)/dt = Ry(pi)Ry(t)/2, so row 1+j is twice d|psi>/d angle_j:
-    1+L*Q rows in all, and row 0 is the ket bit for bit. The traced peak
-    is under 5x their bytes (4.49x at Q = 13 and 14, q_depth 1)."""
+    1+L*Q rows in all, and row 0 is the ket bit for bit. At Q = 13 and 14
+    the traced peak is under 5x their bytes (4.49x at q_depth 1)."""
     check_qubits(num_qubits)
     check_int("q_depth", q_depth, 0)
     angles = np.asarray(angles, dtype=float)
@@ -301,24 +356,28 @@ def evolve(num_qubits: int, q_depth: int, angles: np.ndarray,
                          f"got {len(angles)}")
     size = (len(angles) + n if tangents else len(angles)) << num_qubits
     plan = _gate_plan if size <= BLOCK_AMPS else _gate_plan.__wrapped__
-    start, out, steps, idx, sign = plan(num_qubits, q_depth, len(angles),
-                                        tangents)
+    (start, cos, sin, signs), out, steps, idx, sign = plan(
+        num_qubits, q_depth, len(angles), tangents)
     # the H wall on |0...0> leaves every amplitude equal to (1/sqrt 2)^Q,
     # rounded once per gate as apply_gate rounds it
     amp = 1.0
     for _ in range(num_qubits):
         amp = _SQRT_HALF * amp
     start.fill(amp)
-    half = angles / 2  # c[j] and s[j] are gate j's, one entry per row
-    c = np.cos(half).T[:, :, None]
-    s = np.sin(half).T[:, :, None, None, None] * _SWAP_SIGN
+    half = angles / 2  # gate j's cos and sin, one entry per row
+    np.copyto(cos, np.cos(half).T[:, :, None])
+    sin_t = np.sin(half).T  # to (n, B, 1), or (n, B, 1, 1, 1) for _SWAP_SIGN
+    np.multiply(sin_t.reshape(sin_t.shape + (1,) * (sin.ndim - 2)), signs,
+                out=sin)
     perm = brick_permutation(num_qubits)
     wide = 1 << num_qubits >= _GATE_BUFSIZE
     old = np.setbufsize(_GATE_BUFSIZE) if wide else None
     try:
-        for c_j, s_j, (src, a, flipped, t4, t, tan) in zip(c, s, steps):
+        for src, a, flipped, flip, t4, t, tan, c_j, s_j in steps:
             if src is not None:  # mode="raise" would buffer a copy of out
                 np.take(src, perm, axis=1, out=a, mode="clip")
+            if flip is not None:  # the flat form gathers the flipped pairs
+                flipped = flipped[flip]
             # c*(a0, a1) + (-s, s)*(a1, a0) rounds as c*a0 - s*a1, s*a0 +
             # c*a1 (apply_gate's): (-s)*a1 is -(s*a1) and addition commutes
             np.multiply(flipped, s_j, out=t4, order="C")

@@ -250,6 +250,36 @@ class TestShotStreams:
                 derive_streams(5, (), *counts)
 
 
+class ScriptedDraws:
+    """Stands in for _draw_crack's generator: hands out the given draws in
+    order (width, depth, vertical, start row, steps)."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high, size=None):
+        return self.draws.pop(0)
+
+
+def clipped_walk_cases():
+    """(start row, steps) of crack walks from the lowest and highest start
+    that reach row 1 or row PATCH_SIZE - 2: once, then as far towards the
+    other bound as the steps left allow; by holding against it; and by a
+    random drift."""
+    n, low, high = PATCH_SIZE, 20, PATCH_SIZE - 21
+    rng = np.random.default_rng(11)
+    cases = {
+        "down-then-up": (low, [-1] * 19 + [1] * (n - 19)),
+        "up-then-down": (high, [1] * 19 + [-1] * (n - 19)),
+        "hold-low": (low, [-1] * 30 + ([1, -1, -1] * n)[:n - 30]),
+        "hold-high": (high, [1] * 30 + ([-1, 1, 1] * n)[:n - 30]),
+    }
+    for i in range(3):
+        cases[f"drift-down-{i}"] = (low, list(rng.choice([-1, -1, 0, 1], n)))
+        cases[f"drift-up-{i}"] = (high, list(rng.choice([1, 1, 0, -1], n)))
+    return cases
+
+
 class TestSyntheticGeneration:
     def test_counts_and_labels(self):
         patches = generate_synthetic(0, 5, seed=1)
@@ -299,6 +329,25 @@ class TestSyntheticGeneration:
                         seen[ny, nx] = True
                         queue.append((ny, nx))
             assert np.array_equal(seen, mask)
+
+    @pytest.mark.parametrize("name", sorted(clipped_walk_cases()))
+    @pytest.mark.parametrize("width,vertical", [(1, 0), (2, 1)])
+    def test_crack_walk_matches_clipped_loop(self, name, width, vertical):
+        # the running-maxima walk against the walk clipped step by step
+        start, steps = clipped_walk_cases()[name]
+        ys = [start]
+        for step in steps:
+            ys.append(min(max(ys[-1] + step, 1), PATCH_SIZE - 2))
+        assert min(ys) == 1 or max(ys) == PATCH_SIZE - 2
+        want = np.zeros((PATCH_SIZE, PATCH_SIZE), bool)
+        for x in range(PATCH_SIZE):
+            low, high = sorted(ys[x:x + 2])
+            want[low:high + width, x] = True
+        img = np.full((PATCH_SIZE, PATCH_SIZE), 128.0)
+        draws = ScriptedDraws(width, 80, vertical, start, np.array(steps))
+        got = _draw_crack(img, draws)
+        assert np.array_equal(got, want.T if vertical else want)
+        assert np.array_equal(img, np.where(got, 48.0, 128.0))
 
     def test_patch_invariants(self):
         for p in generate_synthetic(2, 2, seed=3):

@@ -26,6 +26,16 @@ def plus_state():
     return apply_gate(zero_state(1), Gate("h", 0))
 
 
+def plan_arrays(plan):
+    """Every array a _gate_plan result holds, through its nested tuples
+    and its list of steps."""
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, (tuple, list)):
+        for item in plan:
+            yield from plan_arrays(item)
+
+
 class TestZeroState:
     def test_single_qubit(self):
         assert np.allclose(zero_state(1).amps, [1, 0])
@@ -354,6 +364,51 @@ class TestKernel:
             alone = evolve(q, depth, angles[i:i + 1])[0]
             assert np.array_equal(amps[i].view(np.int64),
                                   alone.view(np.int64))
+
+    @pytest.mark.parametrize("q,depth", [(4, 1), (5, 3)])
+    def test_full_block_rows_independent_of_stack(self, q, depth):
+        # evaluate_rows' widest flat-form block: BLOCK_AMPS / 2^Q rows
+        b = BLOCK_AMPS >> q
+        angles = np.random.default_rng(q).uniform(-7, 7,
+                                                  size=(b, q * (depth + 1)))
+        angles[0, 0] = -0.0
+        amps = evolve(q, depth, angles)
+        for i in range(b):
+            alone = evolve(q, depth, angles[i:i + 1])[0]
+            assert amps[i].tobytes() == alone.tobytes(), i
+
+    @pytest.mark.parametrize("q,depth,b,tangents", [
+        (4, 1, 17, False), (4, 1, 1, True), (5, 3, 256, False),
+        (1, 0, 1, True)])
+    def test_flat_plan_keeps_the_bytes_it_states(self, q, depth, b,
+                                                 tangents):
+        # _gate_plan's docstring: 8*2^Q*(2T + (2n + Q)*G + n) bytes, and
+        # 16*Q*2^Q more with tangents; the Python objects, each step's
+        # views and tuple and the plan's own, take under 1 KiB a gate
+        # and 2 KiB more
+        n = q * (depth + 1)
+        total, most = (b + n, b + n - q) if tangents else (b, b)
+        stated = 8 * (1 << q) * (2 * total + (2 * n + q) * most + n
+                                 + 2 * q * tangents)
+        angles = np.zeros((b, n))
+        evolve(q, depth, angles, tangents)  # builds z_signs and the brick
+        _gate_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            rows = evolve(q, depth, angles, tangents)
+            first = tracemalloc.get_traced_memory()[0] - rows.nbytes
+            evolve(q, depth, angles, tangents)
+            later = tracemalloc.get_traced_memory()[0] - rows.nbytes
+        finally:
+            tracemalloc.stop()
+        owned = {}
+        for a in plan_arrays(_gate_plan(q, depth, b, tangents)):
+            while a.base is not None:
+                a = a.base
+            owned[id(a)] = a.nbytes
+        assert sum(owned.values()) == stated
+        assert stated <= first < stated + 1024 * (n + 2)
+        assert later < first + 1024
 
     @pytest.mark.parametrize("q,depth", [(1, 1), (3, 2), (4, 1), (5, 3),
                                          (9, 2)])
